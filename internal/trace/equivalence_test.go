@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"ultracomputer/internal/engine"
@@ -102,17 +101,4 @@ func TestRunEngineEquivalence(t *testing.T) {
 			}
 		})
 	}
-}
-
-// resultKey renders every field of a Result into a comparable string
-// (histograms and means included via their observable summaries).
-func resultKey(r Result) string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s p50=%v p99=%v oneway={%v %v} rt={%v %v} perMM=%v",
-		r.String(), r.RTP50, r.RTP99, r.OneWay.N(), r.OneWay.Value(),
-		r.RoundTrip.N(), r.RoundTrip.Value(), r.PerModuleServed)
-	if r.QueueLen != nil {
-		fmt.Fprintf(&b, " qlen=%+v", *r.QueueLen)
-	}
-	return b.String()
 }
