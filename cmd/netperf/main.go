@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"ultracomputer/internal/analytic"
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/machine"
 	"ultracomputer/internal/network"
@@ -57,16 +56,7 @@ func main() {
 	spansOut := flag.String("spans", "", "write the instrumented run's request-trace spans as JSONL to this file (implies -reqtrace 1 when the rate is unset)")
 	flightDir := flag.String("flight-dir", "", "directory for alert-triggered flight-recorder dumps, flight-<cycle>.jsonl (implies -reqtrace 1 when the rate is unset)")
 	benchOut := flag.String("bench", "", "run the simulator benchmark suite and write JSON results to this file")
-	engineFlag := flag.String("engine", "serial", "execution engine for the instrumented run: serial or parallel (byte-identical outputs either way)")
-	workers := flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	flag.Parse()
-
-	eng, err := engine.New(*engineFlag, *workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netperf:", err)
-		os.Exit(2)
-	}
-	defer eng.Close()
 
 	if *benchOut != "" {
 		if err := bench(*benchOut); err != nil {
@@ -82,7 +72,6 @@ func main() {
 			every: *sampleEvery, ports: *simPorts, rate: *rate, hot: *hot,
 			combining: *combining, measure: *measure, threshold: *confThreshold,
 			reqRate: *reqRate, spansPath: *spansOut, flightDir: *flightDir,
-			eng: eng,
 		}
 		if err := observe(opts); err != nil {
 			fmt.Fprintln(os.Stderr, "netperf:", err)
@@ -135,7 +124,6 @@ type observeOpts struct {
 	threshold                         float64
 	reqRate                           float64
 	spansPath, flightDir              string
-	eng                               engine.Engine
 }
 
 // observe drives one simulated run under synthetic traffic with the
@@ -200,7 +188,7 @@ func observe(o observeOpts) error {
 			fmt.Printf("telemetry: http://%s/metrics\n", bound)
 		}
 	}
-	r := trace.RunEngine(cfg, w, 1000, o.measure, o.eng)
+	r := trace.Run(cfg, w, 1000, o.measure)
 	fmt.Printf("instrumented run: %d ports, %d stages, rate=%.3f hot=%.2f\n  %s\n",
 		cfg.Ports(), stages, o.rate, o.hot, r)
 	if feed != nil {
@@ -259,8 +247,7 @@ type benchRow struct {
 	K            int     `json:"k"`
 	Copies       int     `json:"copies"`
 	Ports        int     `json:"ports"`
-	Engine       string  `json:"engine"`
-	Workers      int     `json:"workers"`
+	Workers      int     `json:"workers,omitempty"`
 	Rate         float64 `json:"rate"`
 	ReqtraceRate float64 `json:"reqtrace_rate,omitempty"`
 	Spans        int64   `json:"spans,omitempty"`
@@ -280,16 +267,12 @@ type benchRow struct {
 	RTP99        float64 `json:"rt_p99"`
 }
 
-// bench runs the fixed benchmark suite and writes the rows as JSON.
-// Two sections: the Figure 7 candidate switch shapes at two stable
-// loads on a 64-port machine under the serial engine (comparable with
-// earlier commits), then an engine scaling matrix — serial versus the
-// parallel engine at several worker counts — on a 256-port machine.
-// Seeded runs make the traffic identical between invocations, and the
-// engines are byte-identical by construction, so within a worker-count
-// column only wall-clock varies. Speedups are only meaningful when
-// host_cpus/gomaxprocs allow real parallelism; the matrix records the
-// host so single-core results are not mistaken for regressions.
+// bench runs the fixed benchmark suite and writes the rows as JSON: the
+// Figure 7 candidate switch shapes at two stable loads on a 64-port
+// machine (comparable with earlier commits), tracing and profiler
+// overhead rows, ultraserve session scaling, and one 256-port row.
+// Seeded runs make the traffic identical between invocations, so only
+// wall-clock varies.
 func bench(path string) error {
 	const (
 		ports   = 64
@@ -311,17 +294,17 @@ func bench(path string) error {
 		}
 		return stages
 	}
-	runOne := func(cfg network.Config, name string, copies int, rate float64, warmup, measure int64, eng engine.Engine, engName string, workers int, tr *reqtrace.Tracer, pf *prof.Profiler) (benchRow, error) {
+	runOne := func(cfg network.Config, name string, copies int, rate float64, warmup, measure int64, tr *reqtrace.Tracer, pf *prof.Profiler) (benchRow, error) {
 		if err := cfg.Validate(); err != nil {
 			return benchRow{}, err
 		}
 		w := trace.Workload{Rate: rate, Hash: true, Seed: 17, Tracer: tr, Profiler: pf}
 		start := time.Now()
-		r := trace.RunEngine(cfg, w, warmup, measure, eng)
+		r := trace.Run(cfg, w, warmup, measure)
 		wall := time.Since(start).Seconds()
 		row := benchRow{
 			Config: name, K: cfg.K, Copies: copies, Ports: cfg.Ports(),
-			Engine: engName, Workers: workers, Rate: rate,
+			Rate:   rate,
 			Cycles: warmup + measure, WallSeconds: wall,
 			CyclesPerSec: float64(warmup+measure) / wall,
 			Injected:     r.Injected, Served: r.Served,
@@ -332,8 +315,8 @@ func bench(path string) error {
 			row.ReqtraceRate = tr.Rate()
 			row.Spans = tr.Completed()
 		}
-		fmt.Printf("%-6s %-8s w=%-2d rate=%.2f  %8.0f cycles/s  rt p50=%.0f p99=%.0f  thpt=%.4f\n",
-			row.Config, row.Engine, row.Workers, row.Rate, row.CyclesPerSec, row.RTP50, row.RTP99, row.Throughput)
+		fmt.Printf("%-14s rate=%.2f  %8.0f cycles/s  rt p50=%.0f p99=%.0f  thpt=%.4f\n",
+			row.Config, row.Rate, row.CyclesPerSec, row.RTP50, row.RTP99, row.Throughput)
 		return row, nil
 	}
 
@@ -341,7 +324,7 @@ func bench(path string) error {
 	for _, s := range shapes {
 		cfg := network.Config{K: s.k, Stages: stagesFor(s.k, ports), Copies: s.copies, Combining: true}
 		for _, rate := range []float64{0.10, 0.20} {
-			row, err := runOne(cfg, s.name, s.copies, rate, warmup, measure, nil, "serial", 0, nil, nil)
+			row, err := runOne(cfg, s.name, s.copies, rate, warmup, measure, nil, nil)
 			if err != nil {
 				return err
 			}
@@ -359,7 +342,7 @@ func bench(path string) error {
 		rate float64
 	}{{"k2-d1+tr0", 0}, {"k2-d1+tr1%", 0.01}} {
 		tr := reqtrace.New(reqtrace.Config{Rate: tc.rate})
-		row, err := runOne(trCfg, tc.name, 1, 0.20, warmup, measure, nil, "serial", 0, tr, nil)
+		row, err := runOne(trCfg, tc.name, 1, 0.20, warmup, measure, tr, nil)
 		if err != nil {
 			return err
 		}
@@ -375,7 +358,7 @@ func bench(path string) error {
 	}{{"k2-d1+prof-off", false}, {"k2-d1+prof", true}} {
 		pf := prof.New(prof.Config{PEs: ports})
 		pf.SetEnabled(pc.on)
-		row, err := runOne(trCfg, pc.name, 1, 0.20, warmup, measure, nil, "serial", 0, nil, pf)
+		row, err := runOne(trCfg, pc.name, 1, 0.20, warmup, measure, nil, pf)
 		if err != nil {
 			return err
 		}
@@ -403,7 +386,7 @@ func bench(path string) error {
 	}
 	rows = append(rows, serveRows...)
 
-	// Engine scaling matrix on the large machine.
+	// One larger machine: 256 ports at the same load.
 	const (
 		bigPorts   = 256
 		bigWarmup  = 500
@@ -411,21 +394,11 @@ func bench(path string) error {
 		bigRate    = 0.20
 	)
 	bigCfg := network.Config{K: 2, Stages: stagesFor(2, bigPorts), Combining: true}
-	serialRow, err := runOne(bigCfg, "k2-big", 1, bigRate, bigWarmup, bigMeasure, nil, "serial", 0, nil, nil)
+	bigRow, err := runOne(bigCfg, "k2-big", 1, bigRate, bigWarmup, bigMeasure, nil, nil)
 	if err != nil {
 		return err
 	}
-	rows = append(rows, serialRow)
-	for _, w := range []int{2, 4, 8} {
-		eng := engine.NewParallel(w)
-		row, err := runOne(bigCfg, "k2-big", 1, bigRate, bigWarmup, bigMeasure, eng, "parallel", w, nil, nil)
-		eng.Close()
-		if err != nil {
-			return err
-		}
-		row.Speedup = serialRow.WallSeconds / row.WallSeconds
-		rows = append(rows, row)
-	}
+	rows = append(rows, bigRow)
 
 	return writeFile(path, func(f io.Writer) error {
 		enc := json.NewEncoder(f)
@@ -503,8 +476,8 @@ loop:   faa  r3, 0(r1), r2
 		svc.Drain()
 		row := benchRow{
 			Config: fmt.Sprintf("serve-s%d", n), K: 2, Copies: 1, Ports: 64,
-			Engine: "serve", Workers: svc.Limits().Workers,
-			Cycles: total, WallSeconds: wall,
+			Workers: svc.Limits().Workers,
+			Cycles:  total, WallSeconds: wall,
 			CyclesPerSec: float64(total) / wall,
 		}
 		if n == 1 {
@@ -558,7 +531,7 @@ loop:   faa  r3, 0(r1), r2
 			if rep == 0 || wall < best.WallSeconds {
 				best = benchRow{
 					Config: name, K: 2, Copies: 1, Ports: 16,
-					Engine: "serial", Cycles: m.Cycles(),
+					Cycles:      m.Cycles(),
 					WallSeconds: wall, CyclesPerSec: float64(m.Cycles()) / wall,
 				}
 			}

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/isa"
 	"ultracomputer/internal/lint/guest/mc"
 	"ultracomputer/internal/machine"
@@ -61,8 +60,6 @@ func main() {
 	profOut := flag.String("prof-out", "", "write the guest profile to this file: .pb.gz/.pprof selects gzipped pprof protobuf (go tool pprof), anything else JSONL (tables -prof); implies -prof")
 	spansOut := flag.String("spans", "", "write completed request-trace spans as JSONL to this file (implies -reqtrace 1 when the rate is unset)")
 	flightDir := flag.String("flight-dir", "", "directory for alert-triggered flight-recorder dumps, flight-<cycle>.jsonl (implies -reqtrace 1 when the rate is unset)")
-	engineFlag := flag.String("engine", "serial", "execution engine: serial or parallel (byte-identical outputs either way)")
-	workers := flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	configPath := flag.String("config", "", "JSON machine config file (the same validated object ultraserve stores); explicitly set flags override its fields, and its program runs when no prog.s argument is given")
 	flag.Parse()
 
@@ -105,12 +102,6 @@ func main() {
 		}
 		if !set["sample-every"] {
 			*sampleEvery = d.SampleEvery
-		}
-		if !set["engine"] {
-			*engineFlag = d.Engine
-		}
-		if !set["workers"] {
-			*workers = d.Workers
 		}
 	}
 
@@ -202,12 +193,6 @@ func main() {
 		}
 		fatal(err)
 	}
-	eng, err := engine.New(*engineFlag, *workers)
-	if err != nil {
-		fatal(err)
-	}
-	defer eng.Close()
-	m.SetEngine(eng)
 	var rec *obs.Recorder
 	if *traceOut != "" || *serveAddr != "" {
 		rec = obs.NewRecorder(obs.DefaultRecorderCapacity)

@@ -4,8 +4,8 @@
 // Go packages (directories, or the literal ./... to expand the module)
 // run the host-side analyzers over the simulator's own sources. The
 // per-package analyzers (detstate, probegate, tracegate) inspect one package at a
-// time; the whole-program analyzers (stagecheck, sharecheck, hotalloc,
-// lockcheck) run once over a module-wide call graph with interprocedural
+// time; the whole-program analyzers (stagecheck, hotalloc, lockcheck)
+// run once over a module-wide call graph with interprocedural
 // write-set summaries (internal/lint/analysis):
 //
 //	detstate   forbid wall-clock reads, global math/rand and unordered
@@ -14,11 +14,9 @@
 //	           a nil check of the probe (the zero-alloc contract)
 //	tracegate  require every reqtrace sampling call site (ContextFor,
 //	           Emit) to be guarded by a nil check of the tracer
-//	stagecheck forbid Compute methods writing non-receiver shared state
-//	           and goroutine launches on phase paths outside
-//	           internal/engine
-//	sharecheck verify that everything transitively reachable from a
-//	           Compute-phase entry point writes only shard-owned state
+//	stagecheck keep the cycle loop serial and deterministic: forbid
+//	           goroutine launches on phase paths and Compute methods
+//	           writing non-receiver shared state
 //	hotalloc   flag heap-allocation sites reachable from the cycle loop
 //	lockcheck  enforce declared lock discipline (`// guarded by mu` field
 //	           comments): guarded-field access without the protecting
@@ -54,7 +52,7 @@
 //	ultravet ./...                          # text diagnostics, baseline diff
 //	ultravet -json ./...                    # all findings as JSON
 //	ultravet -write-baseline ./...          # accept the current findings
-//	ultravet -enable sharecheck,hotalloc ./...
+//	ultravet -enable stagecheck,hotalloc ./...
 //	ultravet -list
 //	ultravet -pes 8 -copies 2 examples/asm/tickets.s
 package main
@@ -77,7 +75,6 @@ import (
 	"ultracomputer/internal/lint/hotalloc"
 	"ultracomputer/internal/lint/lockcheck"
 	"ultracomputer/internal/lint/probegate"
-	"ultracomputer/internal/lint/sharecheck"
 	"ultracomputer/internal/lint/stagecheck"
 	"ultracomputer/internal/lint/tracegate"
 )
@@ -88,7 +85,6 @@ var registry = []*analysis.Analyzer{
 	probegate.Analyzer,
 	tracegate.Analyzer,
 	stagecheck.Analyzer,
-	sharecheck.Analyzer,
 	hotalloc.Analyzer,
 	lockcheck.Analyzer,
 }

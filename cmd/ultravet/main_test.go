@@ -211,12 +211,12 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Fatalf("default guest selection = %v, want both guest and guestmc", guests)
 	}
 
-	some, _, err := selectAnalyzers("sharecheck,hotalloc", "")
+	some, _, err := selectAnalyzers("stagecheck,hotalloc", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(some) != 2 || some[0].Name != "sharecheck" || some[1].Name != "hotalloc" {
-		t.Fatalf("-enable sharecheck,hotalloc selected %v", names(some))
+	if len(some) != 2 || some[0].Name != "stagecheck" || some[1].Name != "hotalloc" {
+		t.Fatalf("-enable stagecheck,hotalloc selected %v", names(some))
 	}
 
 	most, _, err := selectAnalyzers("", "stagecheck")

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/machine"
 	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
@@ -35,8 +34,6 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve live telemetry for the combining run on this address")
 	reqRate := flag.Float64("reqtrace", 0, "fraction of memory requests to trace causally (0 = off, 1 = all)")
 	spansOut := flag.String("spans", "", "write request-trace spans of BOTH runs as JSONL: <file> for the combining run, <file>.plain for the uncombined control (implies -reqtrace 1 when the rate is unset)")
-	engineFlag := flag.String("engine", "serial", "execution engine: serial or parallel (byte-identical outputs either way)")
-	workers := flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *spansOut != "" && *reqRate == 0 {
@@ -46,15 +43,12 @@ func main() {
 	fmt.Println("64 PEs performing fetch-and-adds on ONE shared cell")
 	fmt.Printf("%-14s %12s %14s %12s %12s\n",
 		"switches", "PE cycles", "CM access", "combines", "MM ops")
-	eng, err := engine.New(*engineFlag, *workers)
-	check(err)
-	defer eng.Close()
-	run(eng, true, rounds, *traceOut, *metricsOut, *sampleEvery, *serveAddr, *reqRate, *spansOut)
+	run(true, rounds, *traceOut, *metricsOut, *sampleEvery, *serveAddr, *reqRate, *spansOut)
 	plainSpans := ""
 	if *spansOut != "" {
 		plainSpans = *spansOut + ".plain"
 	}
-	run(eng, false, rounds, "", "", 0, "", *reqRate, plainSpans)
+	run(false, rounds, "", "", 0, "", *reqRate, plainSpans)
 	fmt.Println("\ncombining turns a serial hot spot into logarithmic fan-in:")
 	fmt.Println("memory serves far fewer operations and latency stays flat.")
 	if *reqRate > 0 {
@@ -63,7 +57,7 @@ func main() {
 	}
 }
 
-func run(eng engine.Engine, combining bool, rounds int, traceOut, metricsOut string, sampleEvery int64, serveAddr string, reqRate float64, spansOut string) {
+func run(combining bool, rounds int, traceOut, metricsOut string, sampleEvery int64, serveAddr string, reqRate float64, spansOut string) {
 	cfg := machine.Config{
 		Net:     network.Config{K: 2, Stages: 6, Combining: combining},
 		Hashing: true,
@@ -73,7 +67,6 @@ func run(eng engine.Engine, combining bool, rounds int, traceOut, metricsOut str
 			ctx.FetchAdd(7, 1)
 		}
 	})
-	m.SetEngine(eng)
 	var rec *obs.Recorder
 	if traceOut != "" || serveAddr != "" {
 		rec = obs.NewRecorder(obs.DefaultRecorderCapacity)

@@ -157,7 +157,6 @@ func (c *Cache) Read(a int64) (v int64, hit bool) {
 	set, tag, off := c.locate(a)
 	c.clock++
 	if l := c.find(set, tag); l != nil {
-		//ultravet:ok sharecheck l points into the receiver-owned c.sets; the cache is private to one PE
 		l.lru = c.clock
 		c.stats.Hits.Inc()
 		if c.probe != nil {

@@ -1,151 +1,29 @@
 package engine
 
-import (
-	"runtime"
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
-// Shards must be contiguous, cover [0,n) exactly, stay balanced to
-// within one unit, and be a pure function of (n, shards) — including
-// the uneven cases where n is not divisible by the worker count.
-func TestShardPartition(t *testing.T) {
-	cases := []struct{ n, shards int }{
-		{0, 1}, {1, 1}, {1, 4}, {5, 4}, {7, 3}, {8, 4}, {64, 7},
-		{1024, 3}, {1023, 8}, {13, 13}, {3, 8},
-	}
-	for _, c := range cases {
-		prev := 0
-		minSz, maxSz := c.n+1, -1
-		for w := 0; w < c.shards; w++ {
-			lo, hi := Shard(c.n, c.shards, w)
-			if lo != prev {
-				t.Fatalf("Shard(%d,%d,%d): lo=%d, want contiguous %d", c.n, c.shards, w, lo, prev)
-			}
-			if hi < lo {
-				t.Fatalf("Shard(%d,%d,%d): hi=%d < lo=%d", c.n, c.shards, w, hi, lo)
-			}
-			if sz := hi - lo; sz < minSz {
-				minSz = sz
-			} else if sz > maxSz {
-				maxSz = sz
-			}
-			if sz := hi - lo; sz > maxSz {
-				maxSz = sz
-			}
-			prev = hi
-		}
-		if prev != c.n {
-			t.Fatalf("Shard(%d,%d,*): covered [0,%d), want [0,%d)", c.n, c.shards, prev, c.n)
-		}
-		if c.shards > 0 && maxSz-minSz > 1 {
-			t.Fatalf("Shard(%d,%d,*): shard sizes vary by %d, want <=1", c.n, c.shards, maxSz-minSz)
-		}
-		// Determinism: same inputs, same split.
-		for w := 0; w < c.shards; w++ {
-			lo1, hi1 := Shard(c.n, c.shards, w)
-			lo2, hi2 := Shard(c.n, c.shards, w)
-			if lo1 != lo2 || hi1 != hi2 {
-				t.Fatalf("Shard(%d,%d,%d) not deterministic", c.n, c.shards, w)
-			}
-		}
-	}
-}
-
-// Every engine must cover each unit exactly once per Run, and Run must
-// be a full barrier: all units done before it returns.
+// The Serial engine must cover each unit exactly once per Run, in one
+// call, and skip empty phases.
 func TestEnginesCoverAllUnits(t *testing.T) {
-	engines := map[string]Engine{
-		"serial":     Serial{},
-		"parallel-1": NewParallel(1),
-		"parallel-3": NewParallel(3),
-		"parallel-8": NewParallel(8),
-	}
-	for name, eng := range engines {
-		for _, n := range []int{0, 1, 5, 64, 1000} {
-			hits := make([]int32, n)
-			eng.Run(n, func(lo, hi, worker int) {
-				for u := lo; u < hi; u++ {
-					atomic.AddInt32(&hits[u], 1)
-				}
-			})
-			for u, h := range hits {
-				if h != 1 {
-					t.Fatalf("%s n=%d: unit %d executed %d times, want 1", name, n, u, h)
-				}
+	for _, n := range []int{0, 1, 5, 64, 1000} {
+		hits := make([]int, n)
+		calls := 0
+		Serial{}.Run(n, func(lo, hi, worker int) {
+			calls++
+			if worker != 0 {
+				t.Fatalf("n=%d: worker %d, want 0", n, worker)
 			}
-		}
-		eng.Close()
-	}
-}
-
-// Sequential phases must see each other's writes: phase 2 reads what
-// phase 1 wrote from (potentially) different workers. This is the
-// happens-before edge the whole simulator relies on; run under -race it
-// also proves the barrier is race-clean.
-func TestPhaseBarrierHappensBefore(t *testing.T) {
-	eng := NewParallel(4)
-	defer eng.Close()
-	const n = 257
-	a := make([]int, n)
-	b := make([]int, n)
-	for round := 0; round < 50; round++ {
-		eng.Run(n, func(lo, hi, _ int) {
 			for u := lo; u < hi; u++ {
-				a[u] = u + round
+				hits[u]++
 			}
 		})
-		eng.Run(n, func(lo, hi, _ int) {
-			for u := lo; u < hi; u++ {
-				// Read a unit another worker likely wrote.
-				b[u] = a[(u+n/2)%n]
-			}
-		})
-		for u := 0; u < n; u++ {
-			if want := (u+n/2)%n + round; b[u] != want {
-				t.Fatalf("round %d: b[%d]=%d, want %d (stale read across barrier)", round, u, b[u], want)
+		for u, h := range hits {
+			if h != 1 {
+				t.Fatalf("n=%d: unit %d executed %d times, want 1", n, u, h)
 			}
 		}
-	}
-}
-
-// The pool must make progress with a single OS thread; determinism must
-// not depend on core count.
-func TestParallelProgressAtGOMAXPROCS1(t *testing.T) {
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	eng := NewParallel(4)
-	defer eng.Close()
-	total := make([]int64, 4)
-	for round := 0; round < 20; round++ {
-		eng.Run(101, func(lo, hi, worker int) {
-			total[worker] += int64(hi - lo)
-		})
-	}
-	var sum int64
-	for _, v := range total {
-		sum += v
-	}
-	if sum != 20*101 {
-		t.Fatalf("units run = %d, want %d", sum, 20*101)
-	}
-}
-
-// A panic on a worker must surface on the coordinator, not hang the
-// barrier.
-func TestWorkerPanicPropagates(t *testing.T) {
-	eng := NewParallel(3)
-	defer eng.Close()
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("expected panic from worker to propagate")
+		if want := min(n, 1); calls != want {
+			t.Fatalf("n=%d: %d calls, want %d", n, calls, want)
 		}
-	}()
-	eng.Run(10, func(lo, hi, _ int) {
-		for u := lo; u < hi; u++ {
-			if u == 7 {
-				panic("unit 7 exploded")
-			}
-		}
-	})
+	}
 }

@@ -2,7 +2,9 @@ package analysis_test
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -194,5 +196,38 @@ func TestFactStoreRoundTrip(t *testing.T) {
 	}
 	if got := s.Keys(); got[0] != "aa.f" || got[1] != "mm.(T).m" || got[2] != "zz.f" {
 		t.Errorf("Keys() = %v, want sorted order", got)
+	}
+}
+
+// TestPackageDirsSkipsNestedModules: ./... covers this module only — a
+// subdirectory with its own go.mod is another module, as for the go
+// command.
+func TestPackageDirsSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for path, body := range map[string]string{
+		"go.mod":              "module m\n",
+		"a/a.go":              "package a\n",
+		"a/a_test.go":         "package a\n",
+		"nested/go.mod":       "module n\n",
+		"nested/n.go":         "package n\n",
+		"nested/sub/s.go":     "package sub\n",
+		"a/testdata/t.go":     "package t\n",
+		".hidden/h.go":        "package h\n",
+		"onlytests/x_test.go": "package x\n",
+	} {
+		full := filepath.Join(root, path)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs, err := analysis.PackageDirs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{filepath.Join(root, "a")}; !reflect.DeepEqual(dirs, want) {
+		t.Fatalf("PackageDirs = %v, want %v", dirs, want)
 	}
 }

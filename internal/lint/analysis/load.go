@@ -175,8 +175,10 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 }
 
 // PackageDirs lists, relative to root, every directory under root holding
-// a non-test Go package, skipping testdata, hidden and vendor trees. It
-// is the driver's "./..." expansion.
+// a non-test Go package, skipping testdata, hidden and vendor trees and
+// nested modules (a subdirectory with its own go.mod belongs to another
+// module, as with the go command's ./... pattern). It is the driver's
+// "./..." expansion.
 func PackageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
@@ -184,9 +186,15 @@ func PackageDirs(root string) ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
+			if p == root {
+				return nil
+			}
 			name := d.Name()
-			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
+			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+				name == "testdata" || name == "vendor" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -37,7 +37,7 @@ const (
 	// receiver type implements the interface.
 	EdgeDynamic
 	// EdgeContains links a function to a literal declared inside it. The
-	// literal may run later, elsewhere (an engine worker, a defer); the
+	// literal may run later, elsewhere (a stored callback, a defer); the
 	// edge keeps its effects and reachability attributed to the code
 	// that built it.
 	EdgeContains
@@ -319,25 +319,20 @@ func (p *Program) addDynamicEdges(n *Node, call *ast.CallExpr, name string, ifac
 }
 
 // scanSuppressions records //ultravet:ok <analyzer> <reason> comment
-// lines (and the legacy //stagecheck:ok form) for the package's files.
+// lines for the package's files.
 func (p *Program) scanSuppressions(pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				var analyzer string
-				switch {
-				case strings.HasPrefix(text, "ultravet:ok"):
-					fields := strings.Fields(strings.TrimPrefix(text, "ultravet:ok"))
-					if len(fields) == 0 {
-						continue // malformed: no analyzer named
-					}
-					analyzer = fields[0]
-				case strings.HasPrefix(text, "stagecheck:ok"):
-					analyzer = "stagecheck" // legacy spelling
-				default:
+				if !strings.HasPrefix(text, "ultravet:ok") {
 					continue
 				}
+				fields := strings.Fields(strings.TrimPrefix(text, "ultravet:ok"))
+				if len(fields) == 0 {
+					continue // malformed: no analyzer named
+				}
+				analyzer := fields[0]
 				pos := pkg.Fset.Position(c.Pos())
 				byFile := p.suppress[analyzer]
 				if byFile == nil {

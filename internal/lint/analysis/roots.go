@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Root discovery shared by the phase-discipline analyzers
-// (sharecheck, hotalloc, stagecheck): the simulator's hot loop is
+// Root discovery shared by the phase-discipline analyzers (hotalloc,
+// stagecheck): the simulator's hot loop is
 // entered either through conventionally named methods (Tick, Step,
 // Compute, …) or through the function literals handed to the execution
 // engine as phase units.
@@ -26,10 +26,9 @@ func (p *Program) RootsByName(names map[string]bool) []*Node {
 
 // EnginePhaseLiterals returns the function literals handed to an engine
 // phase runner: a method named Run declared in internal/engine
-// (engine.Engine.Run and its implementations), or a method named phase
-// (network.Stepper's per-unit phase driver). These literals are the
-// shard bodies the parallel engine executes concurrently, so they are
-// Compute-phase entry points. A literal reaches a runner either
+// (engine.Engine.Run and its implementations). These literals are the
+// per-unit phase bodies every cycle runs, so they are cycle-loop entry
+// points. A literal reaches a runner either
 // directly as a call argument or — the zero-alloc idiom — hoisted into
 // a struct field or variable once and passed by name every cycle; one
 // step of dataflow (func literals assigned to the variable the call
@@ -133,11 +132,6 @@ func isPhaseRunner(obj *types.Func) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	switch obj.Name() {
-	case "Run":
-		return obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/engine")
-	case "phase":
-		return true
-	}
-	return false
+	return obj.Name() == "Run" && obj.Pkg() != nil &&
+		strings.HasSuffix(obj.Pkg().Path(), "internal/engine")
 }

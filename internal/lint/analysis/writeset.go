@@ -26,9 +26,9 @@ import (
 // flow-insensitive (one environment per function, iterated to a local
 // fixpoint) and deliberately one-level: a pointer stored into a
 // locally-built struct keeps the struct RegLocal — that hole is
-// documented in DESIGN.md and is why sharecheck proves confinement
-// only up to the lattice, with the equivalence suites as the dynamic
-// backstop.
+// documented in DESIGN.md, and is why write-set conclusions (stagecheck's
+// Compute rule, lockcheck's regions) hold only up to the lattice, with
+// the golden-digest suites as the dynamic backstop.
 
 // RegionKind is the lattice level.
 type RegionKind uint8

@@ -1,7 +1,7 @@
 // Package hotalloc defines the hot-path allocation analyzer. The
 // simulator's cycle loop is required to be zero-alloc in steady state
-// (the observability contract already demands it of disabled probes;
-// the parallel engine extends it to every phase body): a heap
+// (the observability contract already demands it of disabled probes):
+// a heap
 // allocation per tick turns into GC pressure that dwarfs the simulated
 // work at the paper's 4096-PE scale. hotalloc walks the whole-program
 // call graph from the cycle-loop entry points — functions and methods

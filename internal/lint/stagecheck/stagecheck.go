@@ -1,36 +1,31 @@
-// Package stagecheck defines an analyzer that polices the execution
-// engine's phase discipline (internal/engine). The parallel engine runs
-// each simulation phase as shards over disjoint units with barriers in
-// between; that is only sound if phase code obeys two rules the
-// compiler cannot enforce:
+// Package stagecheck defines an analyzer that keeps the simulator's
+// cycle loop serial and deterministic. A cycle runs as an ordered
+// sequence of phases, each a loop over units (PEs, switch columns,
+// memory modules) on one goroutine; same-seed runs are byte-identical
+// only while phase code obeys two rules the compiler cannot enforce:
 //
 //   - A Compute-style method must confine its writes to its receiver's
 //     own state. Writing a package-level variable, or through a
-//     non-receiver pointer parameter, is cross-unit shared state that
-//     two shards could mutate concurrently — a race under the parallel
-//     engine and a determinism hazard even under the serial one.
+//     non-receiver pointer parameter, makes one unit's result depend on
+//     the order units happen to run in, which the two-phase
+//     Compute/Commit contract (internal/sim) promises it never does.
 //
-//   - Cycle-path code must not spawn goroutines. Worker scheduling is
-//     the engine's job; a `go` statement reachable from
-//     Tick/Step/Compute/Commit introduces timing the barriers cannot
-//     order. Only internal/engine itself may start goroutines, plus
-//     sites annotated `//ultravet:ok stagecheck <reason>` (the legacy
-//     `//stagecheck:ok` spelling still works) — the escape hatch for
-//     the one legitimate pattern, a guest-program goroutine that
-//     advances in lockstep with its own Tick via a channel handshake
-//     and therefore never runs concurrently with phase code.
+//   - Cycle-path code must not spawn goroutines. A `go` statement
+//     reachable from Tick/Step/Compute/Commit introduces host
+//     scheduling into simulated time. The one exception is annotated
+//     `//ultravet:ok stagecheck <reason>`: a guest-program goroutine
+//     that advances in lockstep with its own Tick via a channel
+//     handshake and therefore never runs concurrently with phase code.
 //
-// stagecheck is the method-local complement to sharecheck: it rides the
-// shared call graph (internal/lint/analysis) for goroutine-launch
-// reachability, but holds Compute methods to the receiver-confinement
-// rule by their direct write effects only, so a violation is reported
-// in the method that commits it.
+// stagecheck rides the shared call graph (internal/lint/analysis) for
+// goroutine-launch reachability, but holds Compute methods to the
+// receiver-confinement rule by their direct write effects only, so a
+// violation is reported in the method that commits it.
 package stagecheck
 
 import (
 	"fmt"
 	"go/ast"
-	"strings"
 
 	"ultracomputer/internal/lint/analysis"
 )
@@ -39,7 +34,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "stagecheck",
 	Doc: "forbid Compute methods writing non-receiver shared state and goroutine " +
-		"launches on Tick/Step/Compute/Commit paths outside internal/engine",
+		"launches on Tick/Step/Compute/Commit paths",
 	RunProgram: run,
 }
 
@@ -60,10 +55,6 @@ func run(pass *analysis.ProgramPass) error {
 	reach := prog.Reachable(prog.RootsByName(rootNames), nil)
 
 	for _, n := range prog.Nodes {
-		// The engine is the one place allowed to manage goroutines.
-		if strings.HasSuffix(n.Pkg.Types.Path(), "internal/engine") {
-			continue
-		}
 		if reach[n] {
 			checkGoStmts(pass, n)
 		}
@@ -84,8 +75,8 @@ func checkGoStmts(pass *analysis.ProgramPass, n *analysis.Node) {
 			return true
 		}
 		pass.Reportf(gs.Pos(), "",
-			"goroutine launched on a phase path (reachable from %s): worker scheduling "+
-				"belongs to internal/engine; annotate //ultravet:ok stagecheck only for "+
+			"goroutine launched on a phase path (reachable from %s): the cycle loop "+
+				"is serial; annotate //ultravet:ok stagecheck only for "+
 				"tick-synchronized guest goroutines", enclosingName(n))
 		return true
 	})
@@ -121,11 +112,11 @@ func checkComputeWrites(pass *analysis.ProgramPass, n *analysis.Node) {
 			}
 			pass.Reportf(e.Pos, "",
 				"Compute writes package-level variable %s: phase code must confine writes "+
-					"to its receiver (shards run concurrently under the parallel engine)", name)
+					"to its receiver (unit results must not depend on visiting order)", name)
 		case analysis.RegParam:
 			pass.Reportf(e.Pos, "",
 				"Compute writes through non-receiver parameter %s: phase code must confine "+
-					"writes to its receiver (shards run concurrently under the parallel engine)",
+					"writes to its receiver (unit results must not depend on visiting order)",
 				paramName(n, e.Reg.Index))
 		}
 	}

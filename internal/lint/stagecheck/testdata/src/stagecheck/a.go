@@ -43,7 +43,7 @@ func (u *unit) helper() {
 // Step shows the suppression: a guest goroutine synchronized with its
 // own tick via channel handshake is the blessed exception.
 func (u *unit) Step() {
-	go u.drain() //stagecheck:ok — tick-synchronized guest goroutine
+	go u.drain() //ultravet:ok stagecheck tick-synchronized guest goroutine
 }
 
 // Launch is not a phase root and not reachable from one, so it may use

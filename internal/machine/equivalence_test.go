@@ -9,7 +9,6 @@ import (
 
 	"ultracomputer/internal/engine"
 	"ultracomputer/internal/isa"
-	"ultracomputer/internal/network"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/reqtrace"
 	"ultracomputer/internal/pe"
@@ -18,8 +17,7 @@ import (
 // artifact captures every observable output of a run: the Chrome trace
 // bytes, the sampled metrics JSONL bytes, the JSON report, the request
 // tracer's span and flight-recorder JSONL, and final shared memory /
-// register state. Engine equivalence means all of them match byte for
-// byte.
+// register state.
 type artifact struct {
 	trace   []byte
 	metrics []byte
@@ -29,7 +27,7 @@ type artifact struct {
 	state   []byte
 }
 
-// runArtifact executes the machine mk builds under eng (nil = serial)
+// runArtifact executes the machine mk builds on eng (nil = the default)
 // with the full observability stack attached and returns the run's
 // complete output.
 func runArtifact(t *testing.T, mk func() (*Machine, func(m *Machine) string), eng engine.Engine) artifact {
@@ -137,60 +135,40 @@ func guestASM(t *testing.T, cfg Config, file string) func() (*Machine, func(*Mac
 	}
 }
 
-// TestEngineEquivalence proves the tentpole determinism claim end to
-// end: the same machine run under the serial engine and under the
-// parallel engine at several worker counts (including ones that divide
-// the unit counts unevenly) produces byte-identical trace files,
-// metrics files, reports and final architectural state.
+// chunkEngine runs each phase as in-order calls over at most size
+// units — the way an engine that observes phases (times or counts
+// them) may split one.
+type chunkEngine struct{ size int }
+
+func (e chunkEngine) Run(n int, fn func(lo, hi, worker int)) {
+	for lo := 0; lo < n; lo += e.size {
+		fn(lo, min(lo+e.size, n), 0)
+	}
+}
+
+// TestEngineEquivalence checks the engine seam: the same machine run on
+// the default serial engine and on engines that split every phase into
+// chunks (including sizes that divide the unit counts unevenly)
+// produces byte-identical trace files, metrics files, reports, spans
+// and final architectural state. TestGoldenDigests pins the default
+// run's bytes themselves.
 func TestEngineEquivalence(t *testing.T) {
-	type fixture struct {
-		name string
-		mk   func() (*Machine, func(*Machine) string)
-	}
-	fixtures := []fixture{
-		{"k2-s4-combining", mixedSPMD(Config{
-			Net: network.Config{K: 2, Stages: 4, Combining: true}, Hashing: true,
-		}, 16)},
-		{"k4-s2-combining", mixedSPMD(Config{
-			Net: network.Config{K: 4, Stages: 2, Combining: true}, Hashing: true,
-		}, 16)},
-		{"k2-s3-nocombining", mixedSPMD(Config{
-			Net: network.Config{K: 2, Stages: 3},
-		}, 8)},
-		{"k2-s3-copies2", mixedSPMD(Config{
-			Net: network.Config{K: 2, Stages: 3, Copies: 2, Combining: true},
-		}, 8)},
-		{"ideal-memory", mixedSPMD(Config{
-			Net: network.Config{K: 2, Stages: 3, Combining: true}, IdealMemory: true,
-		}, 8)},
-		{"guest-queue", guestASM(t, Config{
-			Net: network.Config{K: 2, Stages: 3, Combining: true}, Hashing: true, PEs: 8,
-		}, "queue.s")},
-		{"guest-barrier", guestASM(t, Config{
-			Net: network.Config{K: 2, Stages: 3, Combining: true}, Hashing: true, PEs: 8,
-		}, "barrier.s")},
-		{"guest-rw", guestASM(t, Config{
-			Net: network.Config{K: 2, Stages: 3, Combining: true}, Hashing: true, PEs: 8,
-		}, "rw.s")},
-	}
-	for _, fx := range fixtures {
+	for _, fx := range goldenFixtures(t) {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			want := runArtifact(t, fx.mk, nil)
 			if len(want.trace) == 0 || len(want.metrics) == 0 {
 				t.Fatal("serial run produced empty artifacts — probe or sampler not wired")
 			}
-			for _, workers := range []int{1, 3, 8} {
-				eng := engine.NewParallel(workers)
-				got := runArtifact(t, fx.mk, eng)
-				eng.Close()
-				diffArtifact(t, workers, want, got)
+			for _, size := range []int{1, 3, 8} {
+				got := runArtifact(t, fx.mk, chunkEngine{size})
+				diffArtifact(t, size, want, got)
 			}
 		})
 	}
 }
 
-func diffArtifact(t *testing.T, workers int, want, got artifact) {
+func diffArtifact(t *testing.T, chunk int, want, got artifact) {
 	t.Helper()
 	cmp := func(kind string, w, g []byte) {
 		if !bytes.Equal(w, g) {
@@ -209,8 +187,8 @@ func diffArtifact(t *testing.T, workers int, want, got artifact) {
 			if hiG > len(g) {
 				hiG = len(g)
 			}
-			t.Errorf("workers=%d: %s differs at byte %d (serial %d bytes, parallel %d bytes)\n serial  ...%q\n parallel ...%q",
-				workers, kind, i, len(w), len(g), w[lo:hiW], g[lo:hiG])
+			t.Errorf("chunk=%d: %s differs at byte %d (serial %d bytes, chunked %d bytes)\n serial  ...%q\n chunked ...%q",
+				chunk, kind, i, len(w), len(g), w[lo:hiW], g[lo:hiG])
 		}
 	}
 	cmp("trace", want.trace, got.trace)

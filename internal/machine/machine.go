@@ -79,11 +79,16 @@ type Machine struct {
 	tracer  *reqtrace.Tracer
 	prof    *prof.Profiler
 
-	// eng is the execution engine driving Step (default Serial); the
-	// stepper materializes lazily on the first Step so probes and
-	// engine can be attached in any order beforehand.
-	eng     engine.Engine
-	stepper *network.Stepper
+	// eng runs Step's per-unit phases (default engine.Serial). The
+	// phase bodies and MM ports are built once in New so Step allocates
+	// nothing in steady state: the closures read the cycle from the
+	// receiver, and the prebuilt memory.Port values avoid re-boxing an
+	// mmPort per module per cycle.
+	eng       engine.Engine
+	mmPorts   []memory.Port
+	mmStepFn  func(lo, hi, w int)
+	collectFn func(lo, hi, w int)
+	tickFn    func(lo, hi, w int)
 
 	// solo, when >= 0, restricts PE ticks to that one PE (replies still
 	// deliver to everyone) — the schedule-driven stepping hook StepPE
@@ -95,23 +100,6 @@ type Machine struct {
 	// this cycle, delivered at the start of the next (one-cycle
 	// paracomputer access).
 	idealPending []idealReply
-	// tickPar marks a PE-tick phase running under a parallel engine:
-	// IdealMemory injections are then buffered per PE (idealHold) and
-	// applied in PE order after the phase barrier, reproducing the
-	// serial engine's pe-major serialization exactly.
-	tickPar      bool
-	idealHold    [][]msg.Request
-	idealBuckets [][]msg.Reply
-
-	// Phase bodies and MM ports are built once (ensureStepper) so Step
-	// allocates nothing in steady state: the closures read the cycle
-	// from the receiver, and the prebuilt memory.Port values avoid
-	// re-boxing an mmPort per module per cycle.
-	mmPorts   []memory.Port
-	mmStepFn  func(lo, hi, w int)
-	collectFn func(lo, hi, w int)
-	tickFn    func(lo, hi, w int)
-	idealFn   func(lo, hi, w int)
 }
 
 type idealReply struct {
@@ -134,7 +122,7 @@ func New(cfg Config, cores []pe.Core) *Machine {
 	if len(cores) > cfg.PEs {
 		panic(fmt.Sprintf("machine: %d cores for %d PEs", len(cores), cfg.PEs))
 	}
-	m := &Machine{cfg: cfg, net: network.New(cfg.Net), solo: -1}
+	m := &Machine{cfg: cfg, net: network.New(cfg.Net), eng: engine.Serial{}, solo: -1}
 	var h memory.Hasher
 	if cfg.Hashing {
 		h = memory.MultHash{N: ports}
@@ -147,18 +135,15 @@ func New(cfg Config, cores []pe.Core) *Machine {
 		var inject func(msg.Request) bool
 		if cfg.IdealMemory {
 			inject = func(r msg.Request) bool {
-				if m.tickPar {
-					m.idealHold[peID] = append(m.idealHold[peID], r)
-					return true
-				}
 				m.applyIdeal(peID, r)
 				return true
 			}
 		} else {
-			inject = func(r msg.Request) bool { return m.stepper.Inject(peID, r, m.cycle) }
+			inject = func(r msg.Request) bool { return m.net.Inject(peID, r, m.cycle) }
 		}
 		m.pes = append(m.pes, pe.New(peID, cores[i], h, inject, cfg.MaxOutstanding))
 	}
+	m.buildPhases()
 	return m
 }
 
@@ -252,7 +237,7 @@ func (m *Machine) SetProfiler(p *prof.Profiler) {
 		p.SetMMs(len(m.bank.Modules))
 		peSink = p
 		mmSink = p
-		netSink = p.NetShard(0)
+		netSink = p
 	}
 	for _, pp := range m.pes {
 		pp.SetProfiler(peSink)
@@ -264,65 +249,23 @@ func (m *Machine) SetProfiler(p *prof.Profiler) {
 // Profiler returns the attached guest profiler, or nil.
 func (m *Machine) Profiler() *prof.Profiler { return m.prof }
 
-// SetEngine selects the execution engine driving Step: nil or
-// engine.Serial for the in-line reference behavior, engine.NewParallel
-// to shard each phase across a worker pool. Call before the first
-// Step. The caller owns eng and must Close it after the run. Same-seed
-// runs are byte-identical under every engine (see internal/engine).
+// SetEngine selects the engine that runs Step's per-unit phases; nil
+// restores engine.Serial. Every engine runs the units in order on the
+// calling goroutine, so the choice never changes a run's output; a
+// custom engine can observe the phases (time them, count them).
 func (m *Machine) SetEngine(e engine.Engine) {
-	if m.stepper != nil {
-		panic("machine: SetEngine after the first Step")
+	if e == nil {
+		e = engine.Serial{}
 	}
 	m.eng = e
 }
 
-// ensureStepper builds the phased network driver on first use and,
-// under a parallel engine, reroutes per-PE and per-MM probes into the
-// stepper's per-unit event buffers (drained in unit order each cycle,
-// so the event stream matches a serial run byte for byte).
-func (m *Machine) ensureStepper() {
-	if m.stepper != nil {
-		return
-	}
-	if m.eng == nil {
-		m.eng = engine.Serial{}
-	}
-	m.stepper = network.NewStepper(m.net, m.eng)
-	if m.stepper.Parallel() {
-		if m.probe != nil {
-			for i, p := range m.pes {
-				p.SetProbe(m.stepper.PEProbe(i), m.cfg.PECycle)
-			}
-			for mm, mod := range m.bank.Modules {
-				mod.SetProbe(m.stepper.MMProbe(mm))
-			}
-		}
-		if m.tracer != nil {
-			// The PNI-side sampler stays the tracer itself (ContextFor is
-			// a pure hash, safe from any worker); only the modules' emit
-			// stream is rerouted into per-MM buffers.
-			for mm, mod := range m.bank.Modules {
-				mod.SetTracer(m.stepper.MMTrace(mm))
-			}
-		}
-		if m.cfg.IdealMemory {
-			m.idealHold = make([][]msg.Request, len(m.pes))
-			m.idealBuckets = make([][]msg.Reply, len(m.pes))
-		}
-		if m.prof != nil && m.prof.Enabled() {
-			// Each worker combines into its own shard; counts merge
-			// order-free at export.
-			shards := m.prof.NetShards(m.eng.Workers())
-			np := make([]network.NetProfiler, len(shards))
-			for i, s := range shards {
-				np[i] = s
-			}
-			m.stepper.SetProfShards(np)
-		}
-	}
+// buildPhases builds Step's phase bodies and MM ports once, so driving
+// a cycle allocates nothing.
+func (m *Machine) buildPhases() {
 	m.mmPorts = make([]memory.Port, len(m.bank.Modules))
 	for mm := range m.mmPorts {
-		m.mmPorts[mm] = mmPort{m, mm}
+		m.mmPorts[mm] = mmPort{m.net, mm}
 	}
 	m.mmStepFn = func(lo, hi, _ int) {
 		for mm := lo; mm < hi; mm++ {
@@ -331,7 +274,7 @@ func (m *Machine) ensureStepper() {
 	}
 	m.collectFn = func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
-			for _, rep := range m.stepper.Collect(i, m.cycle) {
+			for _, rep := range m.net.Collect(i, m.cycle) {
 				m.pes[i].Deliver(rep, m.peCycles)
 			}
 		}
@@ -342,14 +285,6 @@ func (m *Machine) ensureStepper() {
 				continue
 			}
 			m.pes[i].Tick(m.peCycles, len(m.pes))
-		}
-	}
-	m.idealFn = func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			for _, rep := range m.idealBuckets[i] {
-				m.pes[i].Deliver(rep, m.peCycles)
-			}
-			m.idealBuckets[i] = m.idealBuckets[i][:0]
 		}
 	}
 }
@@ -380,16 +315,14 @@ func (m *Machine) Cycles() int64 { return m.cycle }
 // PECycles reports elapsed PE cycles.
 func (m *Machine) PECycles() int64 { return m.peCycles }
 
-// mmPort adapts the network's MM side to memory.Port, routed through
-// the stepper so delivered-to-MM counts land in the right sink under
-// any engine.
+// mmPort adapts the network's MM side to memory.Port.
 type mmPort struct {
-	m  *Machine
-	mm int
+	net *network.Network
+	mm  int
 }
 
-func (p mmPort) Dequeue() (msg.Request, bool) { return p.m.stepper.MMDequeue(p.mm) }
-func (p mmPort) Reply(r msg.Reply) bool       { return p.m.net.MMReply(p.mm, r) }
+func (p mmPort) Dequeue() (msg.Request, bool) { return p.net.MMDequeue(p.mm) }
+func (p mmPort) Reply(r msg.Reply) bool       { return p.net.MMReply(p.mm, r) }
 
 // Step advances the machine one network cycle: the network moves, memory
 // modules serve, replies reach the PEs, and — every PECycle network
@@ -397,39 +330,22 @@ func (p mmPort) Reply(r msg.Reply) bool       { return p.m.net.MMReply(p.mm, r) 
 // network and module timing are bypassed and last cycle's replies arrive
 // directly.
 //
-// Every phase runs through the configured engine (SetEngine): network
-// movement sharded by switch column, module service by MM, reply
-// delivery and instruction ticks by PE, with the stepper's flushes
-// merging buffered observability in deterministic unit order between
-// phases.
+// Module service, reply delivery and instruction ticks each run as one
+// phase through the engine (SetEngine), in that order.
 func (m *Machine) Step() {
-	//ultravet:ok hotalloc one-time lazy construction of the stepper and phase bodies on the first Step
-	m.ensureStepper()
 	if m.cfg.IdealMemory {
-		m.stepIdealDeliver()
+		pending := m.idealPending
+		m.idealPending = m.idealPending[:0]
+		for _, ir := range pending {
+			m.pes[ir.pe].Deliver(ir.rep, m.peCycles)
+		}
 	} else {
-		m.stepper.Step(m.cycle)
+		m.net.Step(m.cycle)
 		m.eng.Run(len(m.bank.Modules), m.mmStepFn)
-		m.stepper.FlushMM()
 		m.eng.Run(len(m.pes), m.collectFn)
-		m.stepper.FlushCollect()
 	}
 	if m.cycle%m.cfg.PECycle == 0 {
-		m.tickPar = m.stepper.Parallel()
 		m.eng.Run(len(m.pes), m.tickFn)
-		m.tickPar = false
-		m.stepper.FlushInject()
-		if m.idealHold != nil {
-			// Apply the injections buffered during a parallel ideal
-			// tick in PE order — the serialization a serial tick
-			// produces inline.
-			for pe := range m.idealHold {
-				for _, r := range m.idealHold[pe] {
-					m.applyIdeal(pe, r)
-				}
-				m.idealHold[pe] = m.idealHold[pe][:0]
-			}
-		}
 		m.peCycles++
 	}
 	if m.sampler != nil && m.sampler.Due(m.cycle) {
@@ -464,26 +380,6 @@ func (m *Machine) observePEs(sn *obs.Snapshot) {
 		sn.PEInstructions[i] = st.Instructions.Value()
 		sn.PEStallCycles[i] = st.IdleCycles.Value()
 	}
-}
-
-// stepIdealDeliver hands last cycle's ideal-memory replies to their
-// PEs. Under a parallel engine the global pending list is bucketed per
-// PE first (preserving each PE's delivery order) so the phase can
-// shard by PE.
-func (m *Machine) stepIdealDeliver() {
-	pending := m.idealPending
-	m.idealPending = m.idealPending[:0]
-	if !m.stepper.Parallel() {
-		for _, ir := range pending {
-			m.pes[ir.pe].Deliver(ir.rep, m.peCycles)
-		}
-		return
-	}
-	for _, ir := range pending {
-		m.idealBuckets[ir.pe] = append(m.idealBuckets[ir.pe], ir.rep)
-	}
-	m.eng.Run(len(m.pes), m.idealFn)
-	m.stepper.DrainPEEvents()
 }
 
 // Done reports whether every PE has halted and all traffic has drained.

@@ -119,9 +119,9 @@ func TestProfilerHeatmap(t *testing.T) {
 }
 
 // TestProfEngineEquivalence: profile bytes (pprof and JSONL) must be
-// identical serial vs parallel — the determinism contract extended to
-// the profiler. Runs under `make equivalence` (name matches its -run
-// pattern) including the GOMAXPROCS=1 pass.
+// identical on the default engine and on chunking ones — the engine
+// seam's determinism extended to the profiler. TestProfGoldenDigests
+// pins the bytes themselves.
 func TestProfEngineEquivalence(t *testing.T) {
 	_, pSerial, _ := profQueueRun(t, nil)
 	wantPB, err := pSerial.PprofBytes()
@@ -135,9 +135,8 @@ func TestProfEngineEquivalence(t *testing.T) {
 	if len(wantPB) == 0 || wantJSON.Len() == 0 {
 		t.Fatal("empty serial profile")
 	}
-	for _, workers := range []int{1, 3, 8} {
-		eng := engine.NewParallel(workers)
-		_, pp, _ := profQueueRun(t, eng)
+	for _, size := range []int{1, 3, 8} {
+		_, pp, _ := profQueueRun(t, chunkEngine{size})
 		gotPB, err := pp.PprofBytes()
 		if err != nil {
 			t.Fatal(err)
@@ -147,13 +146,12 @@ func TestProfEngineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(wantPB, gotPB) {
-			t.Errorf("workers=%d: pprof bytes differ from serial (%d vs %d bytes)",
-				workers, len(gotPB), len(wantPB))
+			t.Errorf("chunk=%d: pprof bytes differ from serial (%d vs %d bytes)",
+				size, len(gotPB), len(wantPB))
 		}
 		if !bytes.Equal(wantJSON.Bytes(), gotJSON.Bytes()) {
-			t.Errorf("workers=%d: JSONL differs from serial", workers)
+			t.Errorf("chunk=%d: JSONL differs from serial", size)
 		}
-		eng.Close()
 	}
 }
 

@@ -148,10 +148,6 @@ func (m *Module) Step(cycle int64, port Port) {
 			panic(fmt.Sprintf("memory: module %d received request for MM %d", m.id, r.Addr.MM))
 		}
 		newVal, ret := msg.Apply(r.Op, m.words[r.Addr.Word], r.Operand)
-		// m.words is this module's own storage; the MM phase shards by
-		// module, and addresses are interleaved so no two modules share
-		// a word.
-		//ultravet:ok sharecheck m.words belongs to this module; the MM phase shards by module
 		m.words[r.Addr.Word] = newVal
 		m.Served.Inc()
 		m.busy = false

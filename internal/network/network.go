@@ -46,40 +46,6 @@ func (s *Stats) CombinesPerStage() []int64 {
 	return append([]int64(nil), s.perStageCombines...)
 }
 
-// addCounts folds another Stats' integer counters into s. Integer sums
-// are order-free, so per-worker scratch counters can merge in any
-// order; the order-sensitive round-trip observations never pass
-// through scratch (the Stepper replays them per PE).
-func (s *Stats) addCounts(d *Stats) {
-	s.Injected.Add(d.Injected.Value())
-	s.DeliveredToMM.Add(d.DeliveredToMM.Value())
-	s.Combines.Add(d.Combines.Value())
-	s.Decombines.Add(d.Decombines.Value())
-	s.RepliesDelivered.Add(d.RepliesDelivered.Value())
-	for stage, c := range d.perStageCombines {
-		if c == 0 {
-			continue
-		}
-		for len(s.perStageCombines) <= stage {
-			s.perStageCombines = append(s.perStageCombines, 0)
-		}
-		s.perStageCombines[stage] += c
-	}
-}
-
-// resetCounts zeroes the integer counters (scratch reuse between
-// cycles; the per-stage slice keeps its capacity).
-func (s *Stats) resetCounts() {
-	s.Injected.Reset()
-	s.DeliveredToMM.Reset()
-	s.Combines.Reset()
-	s.Decombines.Reset()
-	s.RepliesDelivered.Reset()
-	for i := range s.perStageCombines {
-		s.perStageCombines[i] = 0
-	}
-}
-
 // Network is the Ultracomputer interconnect: Copies identical Omega
 // networks over which each PE spreads its requests round-robin (§4.1).
 // The caller drives it cycle by cycle, injecting requests on the PE side,
@@ -91,15 +57,12 @@ type Network struct {
 	cfg    Config
 	copies []*copyNet
 	next   []int // per-PE round-robin copy index
-	// inflight tracks every in-flight request, sharded by the issuing
-	// PE (request IDs are unique per PE; the PNI layer and the trace
+	// inflight tracks every in-flight request, keyed by the issuing PE
+	// (request IDs are unique per PE; the PNI layer and the trace
 	// generators both key IDs as pe<<32|seq). Entries are created at
 	// Inject and removed when the reply is Collected, so IDs whose
 	// replies materialize by decombining (and never pass through
-	// MMReply) are cleaned up too. The per-PE split means the PE-tick
-	// phase (insert), the MM phase (lookup by rep.PE) and the collect
-	// phase (delete) of a parallel cycle never touch a map another
-	// worker owns.
+	// MMReply) are cleaned up too.
 	//
 	// Determinism contract: these maps are lookup-only — no method may
 	// range over them, because Go's map iteration order would leak into
@@ -115,17 +78,13 @@ type Network struct {
 	// can run without full event recording.
 	trace obs.Probe
 
-	// prof is the guest profiler's combine sink (serial paths only; the
-	// parallel Stepper uses per-worker shards).
+	// prof is the guest profiler's combine sink.
 	prof NetProfiler
 
 	// collectBuf is the per-PE reply scratch reused by Collect every
-	// cycle (shard-owned: the collect phase is sharded by PE). The
-	// returned slice is only valid until that PE's next Collect.
+	// cycle. The returned slice is only valid until that PE's next
+	// Collect.
 	collectBuf [][]msg.Reply
-	// onCollect is Collect's latency observation, hoisted so the serial
-	// collect path allocates nothing per cycle.
-	onCollect func(lat int64, known bool)
 }
 
 // inflightReq is the bookkeeping for one in-flight request.
@@ -134,44 +93,25 @@ type inflightReq struct {
 	issued int64 // inject cycle, for round-trip latency
 }
 
-// SetProbe attaches an event probe to the network and all its copies;
+// SetProbe attaches an event probe to the network;
 // nil detaches it (the default — a detached probe costs one nil check).
-func (n *Network) SetProbe(p obs.Probe) {
-	n.probe = p
-	for i, c := range n.copies {
-		c.probe = p
-		c.copyIdx = i
-	}
-}
+func (n *Network) SetProbe(p obs.Probe) { n.probe = p }
 
 // SetTracer attaches the request-tracing stream (a reqtrace.Tracer) to
-// the network and all its copies; nil detaches it. Hop-record sites emit
+// the network; nil detaches it. Hop-record sites emit
 // on it only for requests carrying a non-zero TraceCtx.
-func (n *Network) SetTracer(p obs.Probe) {
-	n.trace = p
-	for i, c := range n.copies {
-		c.trace = p
-		c.copyIdx = i
-	}
-}
+func (n *Network) SetTracer(p obs.Probe) { n.trace = p }
 
 // NetProfiler receives combine events for the guest profiler's
-// per-address contention heatmap (internal/obs/prof.NetShard satisfies
-// it). Calls arrive from whatever unit performs the combine, so under
-// the parallel engine each worker must be given its own shard (see
-// Stepper.SetProfShards); counts are merged order-free.
+// per-address contention heatmap (internal/obs/prof.Profiler satisfies
+// it).
 type NetProfiler interface {
 	ProfCombine(addr msg.Addr)
 }
 
-// SetProfiler attaches a guest-profiler combine sink to the network and
-// all its copies (serial paths); nil detaches it.
-func (n *Network) SetProfiler(p NetProfiler) {
-	n.prof = p
-	for _, c := range n.copies {
-		c.prof = p
-	}
-}
+// SetProfiler attaches a guest-profiler combine sink to the network;
+// nil detaches it.
+func (n *Network) SetProfiler(p NetProfiler) { n.prof = p }
 
 // New builds a network from cfg. It panics on an invalid configuration
 // (construction happens at setup time; see Config.Validate).
@@ -190,19 +130,10 @@ func New(cfg Config) *Network {
 	}
 	n.stats.RoundTripHist = sim.NewHistogram(2048)
 	for i := 0; i < cfg.Copies; i++ {
-		n.copies = append(n.copies, newCopyNet(cfg, &n.stats))
+		n.copies = append(n.copies, newCopyNet(cfg, i))
 	}
 	n.dead = make([]bool, cfg.Copies)
 	n.collectBuf = make([][]msg.Reply, cfg.Ports())
-	n.onCollect = func(lat int64, known bool) {
-		if known {
-			n.stats.RoundTrip.Observe(float64(lat))
-			if n.stats.RoundTripHist != nil {
-				n.stats.RoundTripHist.Observe(lat)
-			}
-		}
-		n.stats.RepliesDelivered.Inc()
-	}
 	return n
 }
 
@@ -243,20 +174,6 @@ func (n *Network) Stats() *Stats { return &n.stats }
 // (the PE must retry next cycle). r.PE must equal pe: the reply path and
 // the in-flight bookkeeping are both keyed by the request's PE field.
 func (n *Network) Inject(pe int, r msg.Request, cycle int64) bool {
-	if n.injectInto(pe, r, cycle, n.probe, n.trace) {
-		n.stats.Injected.Inc()
-		return true
-	}
-	return false
-}
-
-// injectInto is Inject with the counting and event emission left to the
-// caller's sink: the shared stats/probe on the serial path, per-PE
-// scratch under the parallel engine (the tick phase is sharded by PE,
-// so per-worker scratch is not addressable from an inject closure).
-// tr is the per-caller trace stream, receiving the span-opening Inject
-// event for traced requests.
-func (n *Network) injectInto(pe int, r msg.Request, cycle int64, pr, tr obs.Probe) bool {
 	if pe < 0 || pe >= n.Ports() {
 		panic(fmt.Sprintf("network: Inject at PE %d of %d", pe, n.Ports()))
 	}
@@ -272,17 +189,17 @@ func (n *Network) injectInto(pe int, r msg.Request, cycle int64, pr, tr obs.Prob
 		if c.pniQ[pe].spaceFor(r.Packets()) {
 			c.pniQ[pe].push(r)
 			n.next[pe] = (ci + 1) % len(n.copies)
-			//ultravet:ok sharecheck n.inflight[pe] belongs to the worker owning PE pe (see the field doc)
 			n.inflight[pe][r.ID] = inflightReq{copy: ci, issued: cycle}
-			if pr != nil {
-				pr.Emit(obs.Event{
+			n.stats.Injected.Inc()
+			if n.probe != nil {
+				n.probe.Emit(obs.Event{
 					Cycle: cycle, Kind: obs.KindInject, PE: pe, Stage: -1,
 					MM: r.Addr.MM, Copy: ci, ID: r.ID, Op: r.Op, Addr: r.Addr,
 					Value: r.Operand,
 				})
 			}
-			if tr != nil && r.TC.ID != 0 {
-				tr.Emit(obs.Event{
+			if n.trace != nil && r.TC.ID != 0 {
+				n.trace.Emit(obs.Event{
 					Cycle: cycle, Kind: obs.KindInject, PE: pe, Stage: -1,
 					MM: r.Addr.MM, Copy: ci, ID: r.ID, Op: r.Op, Addr: r.Addr,
 					Value: r.Operand,
@@ -294,10 +211,48 @@ func (n *Network) injectInto(pe int, r msg.Request, cycle int64, pr, tr obs.Prob
 	return false
 }
 
-// Step advances every copy one network cycle.
+// Step advances every copy one network cycle. Links are pumped
+// upstream-first in each direction, so space freed by a downstream hop
+// is usable upstream in the same cycle while the ready-at-start+1 rule
+// bounds every message to one hop per cycle:
+//
+//	forward:  PNI links → stage 0, stage s → s+1, last stage → MNIs
+//	reverse:  deferred decombine registers, MNI links → last stage,
+//	          stage s → s−1, stage 0 → PE receive buffers
+//
+// Each of these phases runs over every copy in copy order before the
+// next begins. Within a phase, links are visited destination switch by
+// destination switch, each switch's feeder lines ascending (see
+// feederOrder). That order fixes the sequence of events the probe and
+// tracer see; queueing and combining depend only on each switch's own
+// feeder order.
 func (n *Network) Step(cycle int64) {
+	sk := sink{stats: &n.stats, probe: n.probe, trace: n.trace, prof: n.prof}
+	stages := n.cfg.Stages
 	for _, c := range n.copies {
-		c.step(cycle)
+		c.forward(-1, cycle, &sk)
+	}
+	for s := 0; s < stages-1; s++ {
+		for _, c := range n.copies {
+			c.forward(s, cycle, &sk)
+		}
+	}
+	for _, c := range n.copies {
+		c.forwardLast(cycle, &sk)
+	}
+	for _, c := range n.copies {
+		c.retryDeferred(cycle, &sk)
+	}
+	for _, c := range n.copies {
+		c.reverseMNI(cycle, &sk)
+	}
+	for s := stages - 1; s >= 1; s-- {
+		for _, c := range n.copies {
+			c.reverse(s, cycle, &sk)
+		}
+	}
+	for _, c := range n.copies {
+		c.reversePE(cycle, &sk)
 	}
 }
 
@@ -342,17 +297,6 @@ func (n *Network) MMReply(mm int, rep msg.Reply) bool {
 // round-trip latencies. The returned slice aliases per-PE scratch and
 // is only valid until pe's next Collect.
 func (n *Network) Collect(pe int, cycle int64) []msg.Reply {
-	return n.collectInto(pe, cycle, n.onCollect, n.probe, n.trace)
-}
-
-// collectInto is Collect with the latency observation and event
-// emission left to the caller: observed directly into the shared stats
-// on the serial path, buffered per PE and replayed in PE order under
-// the parallel engine — round-trip means use Welford's sequence-
-// dependent update, so the float observation order must match the
-// serial engine's exactly. onReply is called once per reply; known is
-// false for replies with no in-flight record (hand-injected in tests).
-func (n *Network) collectInto(pe int, cycle int64, onReply func(lat int64, known bool), pr, tr obs.Probe) []msg.Reply {
 	out := n.collectBuf[pe][:0]
 	for _, c := range n.copies {
 		if len(c.peRecv[pe]) > 0 {
@@ -362,24 +306,29 @@ func (n *Network) collectInto(pe int, cycle int64, onReply func(lat int64, known
 		}
 	}
 	n.collectBuf[pe] = out[:0]
+	s := &n.stats
 	for _, rep := range out {
-		fl, ok := n.inflight[rep.PE][rep.ID]
-		if ok {
-			//ultravet:ok sharecheck n.inflight[pe] belongs to the worker owning PE pe (see the field doc)
+		// A reply with no in-flight record (hand-injected in tests)
+		// counts as delivered but has no round-trip latency.
+		if fl, ok := n.inflight[rep.PE][rep.ID]; ok {
 			delete(n.inflight[rep.PE], rep.ID)
+			s.RoundTrip.Observe(float64(cycle - fl.issued))
+			if s.RoundTripHist != nil {
+				s.RoundTripHist.Observe(cycle - fl.issued)
+			}
 		}
-		onReply(cycle-fl.issued, ok)
-		if pr != nil {
-			pr.Emit(obs.Event{
+		s.RepliesDelivered.Inc()
+		if n.probe != nil {
+			n.probe.Emit(obs.Event{
 				Cycle: cycle, Kind: obs.KindReplyDeliver, PE: pe, Stage: -1,
 				MM: -1, Copy: -1, ID: rep.ID, Op: rep.Op, Addr: rep.Addr,
 				Value: rep.Value,
 			})
 		}
-		if tr != nil && rep.TC.ID != 0 {
+		if n.trace != nil && rep.TC.ID != 0 {
 			// Span completion: the tracer closes the span and files it
 			// in the flight recorder.
-			tr.Emit(obs.Event{
+			n.trace.Emit(obs.Event{
 				Cycle: cycle, Kind: obs.KindReplyDeliver, PE: pe, Stage: -1,
 				MM: -1, Copy: -1, ID: rep.ID, Op: rep.Op, Addr: rep.Addr,
 				Value: rep.Value,

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"sort"
+
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/obs"
 )
@@ -56,16 +58,22 @@ type copyNet struct {
 	// overrun; it drains as the ToPE queues empty toward the PEs.
 	revDefer [][]deferredReply
 
-	stats   *Stats
-	probe   obs.Probe
-	trace   obs.Probe // request-tracing stream (reqtrace.Tracer); nil when off
-	prof    NetProfiler
+	// fwdOrder and revOrder are the order the links between two stages
+	// are pumped: destination switch by destination switch, and within
+	// a switch its feeder lines ascending. fwdOrder serves every
+	// forward transition (the same perfect shuffle sits between all
+	// stages); revOrder every reverse one.
+	fwdOrder []int
+	revOrder []int
+
 	copyIdx int
 }
 
-func newCopyNet(cfg Config, st *Stats) *copyNet {
+func newCopyNet(cfg Config, idx int) *copyNet {
 	t := newTopology(cfg.K, cfg.Stages)
-	c := &copyNet{topo: t, cfg: cfg, stats: st}
+	c := &copyNet{topo: t, cfg: cfg, copyIdx: idx}
+	c.fwdOrder = feederOrder(t, t.unshuffle)
+	c.revOrder = feederOrder(t, t.shuffle)
 	n := t.n
 	c.pniQ = make([]*reqQueue, n)
 	c.pniSrv = make([]reqServer, n)
@@ -103,24 +111,36 @@ func newCopyNet(cfg Config, st *Stats) *copyNet {
 // line converts (switch, port) to a line number within a stage.
 func (c *copyNet) line(sw, port int) int { return sw*c.topo.k + port }
 
-// sink directs one execution unit's observability output. The legacy
-// serial Step and the Stepper's serial engine point it at the shared
-// Stats and the real probe/tracer; the parallel engine points it at
-// per-worker scratch counters and per-unit event buffers, merged in
-// deterministic unit order after each phase (see Stepper). The trace
-// stream is separate from the probe so hop recording for sampled
-// requests can run without paying for full event recording: a site
-// emits on it only when the carrier's TraceCtx is non-zero, so with
-// tracing attached but a request unsampled the cost is one nil check
-// plus one integer compare.
+// sink directs the step's observability output: the shared Stats, the
+// event probe, the request-tracing stream and the guest profiler's
+// combine sink. The trace stream is separate from the probe so hop
+// recording for sampled requests can run without paying for full event
+// recording: a site emits on it only when the carrier's TraceCtx is
+// non-zero, so with tracing attached but a request unsampled the cost
+// is one nil check plus one integer compare.
 type sink struct {
 	stats *Stats
 	probe obs.Probe
 	trace obs.Probe
-	// prof receives combine events for the guest profiler's contention
-	// heatmap; under the parallel engine each worker gets its own shard
-	// (merged order-free — combine counts are plain sums).
-	prof NetProfiler
+	prof  NetProfiler
+}
+
+// feederOrder lists every line of a stage transition grouped by the
+// switch it feeds: line l feeds switch perm(l)/k, so the feeders of sw
+// are inv(sw·k+j) for each port j, sorted ascending. Visiting a
+// destination switch's feeders in ascending line order fixes the
+// per-switch operation sequence, and with it combining and queueing.
+func feederOrder(t topology, inv func(int) int) []int {
+	order := make([]int, 0, t.n)
+	for sw := 0; sw < t.group; sw++ {
+		lines := make([]int, t.k)
+		for j := 0; j < t.k; j++ {
+			lines[j] = inv(sw*t.k + j)
+		}
+		sort.Ints(lines)
+		order = append(order, lines...)
+	}
+	return order
 }
 
 // enqueueForward routes a request into the ToMM queue of stage s selected
@@ -298,41 +318,29 @@ func (c *copyNet) emitReplyHop(s int, rep msg.Reply, cycle int64, pr obs.Probe) 
 	})
 }
 
-// flushDeferred retries delivery of held second replies into their ToPE
-// queues.
-func (c *copyNet) flushDeferred(cycle int64, sk *sink) {
-	for s := 0; s < c.topo.stages; s++ {
-		for sw := range c.revDefer[s] {
-			c.flushDeferredAt(s, sw, cycle, sk)
-		}
-	}
-}
-
-// flushDeferredSwitch retries the held replies of switch column sw at
-// every stage — the per-unit form the Stepper shards by switch. Its
-// (switch, stage) visiting order differs from flushDeferred's (stage,
-// switch), which is immaterial to simulation state: each register
-// touches only its own switch's ToPE queues.
-func (c *copyNet) flushDeferredSwitch(sw int, cycle int64, sk *sink) {
-	for s := 0; s < c.topo.stages; s++ {
-		c.flushDeferredAt(s, sw, cycle, sk)
-	}
-}
-
-func (c *copyNet) flushDeferredAt(s, sw int, cycle int64, sk *sink) {
-	d := &c.revDefer[s][sw]
-	if !d.valid {
-		return
-	}
-	q := c.rq[s][c.line(sw, d.port)]
-	if q.spaceFor(d.rep.Packets()) {
-		q.push(d.rep)
-		d.valid = false
-		if sk.probe != nil {
-			c.emitReplyHop(s, d.rep, cycle, sk.probe)
-		}
-		if sk.trace != nil && d.rep.TC.ID != 0 {
-			c.emitReplyHop(s, d.rep, cycle, sk.trace)
+// retryDeferred retries each switch's held second reply into its ToPE
+// queue, switch column by switch column and, within a column, stage by
+// stage. Each register touches only its own switch's queues, so the
+// visiting order matters only to the order events are emitted in.
+func (c *copyNet) retryDeferred(cycle int64, sk *sink) {
+	for sw := 0; sw < c.topo.group; sw++ {
+		for s := 0; s < c.topo.stages; s++ {
+			d := &c.revDefer[s][sw]
+			if !d.valid {
+				continue
+			}
+			q := c.rq[s][c.line(sw, d.port)]
+			if !q.spaceFor(d.rep.Packets()) {
+				continue
+			}
+			q.push(d.rep)
+			d.valid = false
+			if sk.probe != nil {
+				c.emitReplyHop(s, d.rep, cycle, sk.probe)
+			}
+			if sk.trace != nil && d.rep.TC.ID != 0 {
+				c.emitReplyHop(s, d.rep, cycle, sk.trace)
+			}
 		}
 	}
 }
@@ -344,30 +352,25 @@ func synthReply(sd side, addr msg.Addr, y int64) msg.Reply {
 	return msg.Reply{ID: sd.id, PE: sd.pe, Op: sd.op, Addr: addr, Value: sd.plan.Synthesize(y), TC: sd.tc}
 }
 
-// step advances the copy one network cycle. Forward stages are processed
-// MM-side first and reverse stages PE-side first so that space freed by a
-// downstream hop is usable upstream in the same cycle while every message
-// still advances at most one stage per cycle.
-func (c *copyNet) step(cycle int64) {
-	sk := sink{stats: c.stats, probe: c.probe, trace: c.trace, prof: c.prof}
-	c.stepForward(cycle, &sk)
-	c.stepReverse(cycle, &sk)
+// forward pumps the links leaving stage s (s == -1: the PNI links)
+// into stage s+1, in fwdOrder.
+func (c *copyNet) forward(s int, cycle int64, sk *sink) {
+	srv := c.pniSrv
+	if s >= 0 {
+		srv = c.fsrv[s]
+	}
+	for _, l := range c.fwdOrder {
+		c.pumpRequest(&srv[l], cycle, s, l, sk)
+	}
 }
 
-// stepForward pumps the forward links upstream-first (PNI, then stages
-// 0..D−1): a message delivered into a stage's queue this cycle can begin
-// service the same cycle, so an unloaded header advances one stage per
-// cycle; the ready-at-start+1 rule in pumpRequest bounds every message to
-// at most one hop per cycle.
-func (c *copyNet) stepForward(cycle int64, sk *sink) {
-	t := c.topo
-	for pe := 0; pe < t.n; pe++ {
-		c.pumpRequest(&c.pniSrv[pe], cycle, -1, pe, sk)
-	}
-	for s := 0; s < t.stages; s++ {
-		for l := 0; l < t.n; l++ {
-			c.pumpRequest(&c.fsrv[s][l], cycle, s, l, sk)
-		}
+// forwardLast pumps the last stage into the MNIs. Output line l is MM
+// l, so a switch owns its lines outright and line order is switch
+// order.
+func (c *copyNet) forwardLast(cycle int64, sk *sink) {
+	last := c.topo.stages - 1
+	for l := range c.fsrv[last] {
+		c.pumpRequest(&c.fsrv[last][l], cycle, last, l, sk)
 	}
 }
 
@@ -446,18 +449,28 @@ func (c *copyNet) pumpRequest(srv *reqServer, cycle int64, s, l int, sk *sink) {
 	}
 }
 
-// stepReverse pumps the reverse links upstream-first (MNI, then stages
-// D−1..0), mirroring stepForward.
-func (c *copyNet) stepReverse(cycle int64, sk *sink) {
-	t := c.topo
-	c.flushDeferred(cycle, sk)
-	for mm := 0; mm < t.n; mm++ {
-		c.pumpReply(&c.mmSrv[mm], cycle, t.stages, mm, sk)
+// reverseMNI pumps the MNI links into the last stage (MM m is wired to
+// switch m/k, so MM order is switch order).
+func (c *copyNet) reverseMNI(cycle int64, sk *sink) {
+	for mm := range c.mmSrv {
+		c.pumpReply(&c.mmSrv[mm], cycle, c.topo.stages, mm, sk)
 	}
-	for s := t.stages - 1; s >= 0; s-- {
-		for l := 0; l < t.n; l++ {
-			c.pumpReply(&c.rsrv[s][l], cycle, s, l, sk)
-		}
+}
+
+// reverse pumps the links leaving stage s (s >= 1) into stage s−1, in
+// revOrder.
+func (c *copyNet) reverse(s int, cycle int64, sk *sink) {
+	for _, l := range c.revOrder {
+		c.pumpReply(&c.rsrv[s][l], cycle, s, l, sk)
+	}
+}
+
+// reversePE pumps stage 0 into the PE receive buffers: unshuffle is a
+// permutation, so the k lines of a switch deliver to k distinct PEs and
+// line order is switch order.
+func (c *copyNet) reversePE(cycle int64, sk *sink) {
+	for l := range c.rsrv[0] {
+		c.pumpReply(&c.rsrv[0][l], cycle, 0, l, sk)
 	}
 }
 

@@ -1,453 +1,41 @@
 package network
 
 import (
-	"sort"
-
 	"ultracomputer/internal/engine"
 	"ultracomputer/internal/msg"
-	"ultracomputer/internal/obs"
 )
 
-// Stepper drives a Network cycle by cycle through an engine.Engine. It
-// decomposes one network step into a sequence of barrier-separated
-// phases, each a loop over units that touch disjoint state, so the
-// phases can be sharded across workers:
-//
-//	forward:  PNI links → stage 0, stage s → s+1, last stage → MNIs
-//	reverse:  deferred decombine registers, MNI links → last stage,
-//	          stage s → s−1, stage 0 → PE receive buffers
-//
-// The unit of every phase is one (copy, switch column) pair. The Omega
-// wiring makes this a true partition: the perfect shuffle is a
-// permutation, so each input line of a stage transition feeds exactly
-// one destination switch, and a unit touches only its own feeder links
-// plus its own switch's queues, wait buffers and deferred registers.
-//
-// Determinism contract (see DESIGN.md): units execute their feeder
-// lines in ascending line order — the same relative order the plain
-// serial Network.Step visits them — and shards are fixed by
-// engine.Shard, never by map order or scheduling. Under a parallel
-// engine, counters go to per-worker scratch (integer sums are
-// order-free), events go to per-unit buffers drained in unit order
-// after each phase, and round-trip latencies are buffered per PE and
-// replayed in PE order — exactly the sequence a serial engine produces
-// inline. The request-tracing stream (Network.SetTracer) gets per-unit
-// buffer twins with the same drain discipline, so span trees are
-// byte-identical too. Serial and parallel runs are therefore
-// byte-identical by construction.
+// Stepper drives a Network cycle by cycle through the calls a cycle
+// loop makes: Inject on the PE side, Step, MMDequeue on the memory
+// side, then Collect. Every call goes straight to the Network; the
+// type remains so that drivers written against it (the perfbench
+// replica of trace.Run among them) keep compiling.
 type Stepper struct {
-	n   *Network
-	eng engine.Engine
-	par bool
-
-	group int // switches per stage per copy
-	units int // copies × group
-
-	// fwdFeed[sw] lists the input lines whose forward hop lands in
-	// destination switch sw (ascending); revFeed is the reverse-path
-	// equivalent. Identical for every stage transition because the same
-	// perfect shuffle sits between all stages.
-	fwdFeed [][]int
-	revFeed [][]int
-
-	// Parallel-only scratch, merged deterministically each cycle.
-	wstats      []Stats           // per-worker integer counters
-	swEvents    []obs.EventBuffer // per (copy, switch) unit
-	peEvents    []obs.EventBuffer // per PE (collect + tick phases)
-	mmEvents    []obs.EventBuffer // per MM (memory phase)
-	swTrace     []obs.EventBuffer // trace-stream twins of the above three:
-	peTrace     []obs.EventBuffer // hop events of traced requests, drained
-	mmTrace     []obs.EventBuffer // in the same unit order to the tracer
-	rtBuf       [][]int64         // per-PE round-trip latencies
-	peInjected  []int64
-	peDelivered []int64
-	mmDelivered []int64
-	collectFns  []func(lat int64, known bool)
-
-	// Phase bodies are hoisted here so Step allocates nothing: each
-	// closure is built once in NewStepper and reads its per-cycle inputs
-	// from phCycle/phStage, set by the coordinator between barriers.
-	phCycle    int64
-	phStage    int
-	phFwdPNI   func(ci, sw int, sk *sink)
-	phFwdStage func(ci, sw int, sk *sink)
-	phFwdLast  func(ci, sw int, sk *sink)
-	phDeferred func(ci, sw int, sk *sink)
-	phRevMNI   func(ci, sw int, sk *sink)
-	phRevStage func(ci, sw int, sk *sink)
-	phRevPE    func(ci, sw int, sk *sink)
-
-	// phase()'s own shard body and its inputs, hoisted the same way;
-	// serialSink is the reused serial-path sink.
-	phaseRun    func(ci, sw int, sk *sink)
-	phaseProbed bool
-	phaseTraced bool
-	phaseBody   func(lo, hi, w int)
-	serialSink  sink
-
-	// nprof holds the guest profiler's per-worker combine shards
-	// (SetProfShards); nil when profiling is off.
-	nprof []NetProfiler
+	n *Network
 }
 
-// NewStepper builds a stepper for n driven by eng (nil means the serial
-// engine). The network's probe must be attached before the first Step.
-func NewStepper(n *Network, eng engine.Engine) *Stepper {
-	if eng == nil {
-		eng = engine.Serial{}
-	}
-	t := newTopology(n.cfg.K, n.cfg.Stages)
-	st := &Stepper{
-		n:     n,
-		eng:   eng,
-		par:   eng.Workers() > 0,
-		group: t.group,
-		units: len(n.copies) * t.group,
-	}
-	st.fwdFeed = feederTable(t, t.unshuffle)
-	st.revFeed = feederTable(t, t.shuffle)
-	st.buildPhases(n.cfg.Stages, n.cfg.K)
-	if st.par {
-		ports := n.Ports()
-		st.wstats = make([]Stats, eng.Workers())
-		st.swEvents = make([]obs.EventBuffer, st.units)
-		st.peEvents = make([]obs.EventBuffer, ports)
-		st.mmEvents = make([]obs.EventBuffer, ports)
-		st.swTrace = make([]obs.EventBuffer, st.units)
-		st.peTrace = make([]obs.EventBuffer, ports)
-		st.mmTrace = make([]obs.EventBuffer, ports)
-		st.rtBuf = make([][]int64, ports)
-		st.peInjected = make([]int64, ports)
-		st.peDelivered = make([]int64, ports)
-		st.mmDelivered = make([]int64, ports)
-		st.collectFns = make([]func(int64, bool), ports)
-		for pe := range st.collectFns {
-			pe := pe
-			st.collectFns[pe] = func(lat int64, known bool) {
-				if known {
-					st.rtBuf[pe] = append(st.rtBuf[pe], lat)
-				}
-				st.peDelivered[pe]++
-			}
-		}
-	}
-	return st
-}
+// NewStepper returns a stepper for n. The network steps serially on
+// the calling goroutine, so the engine argument is ignored; it remains
+// for source compatibility and may be nil.
+func NewStepper(n *Network, _ engine.Engine) *Stepper { return &Stepper{n: n} }
 
-// buildPhases constructs every phase closure once. The bodies read the
-// cycle (and, for the per-stage phases, the stage index) from
-// phCycle/phStage, which the Step coordinator sets between engine
-// barriers, so driving a cycle allocates nothing.
-func (st *Stepper) buildPhases(stages, k int) {
-	st.phFwdPNI = func(ci, sw int, sk *sink) {
-		c := st.n.copies[ci]
-		for _, l := range st.fwdFeed[sw] {
-			c.pumpRequest(&c.pniSrv[l], st.phCycle, -1, l, sk)
-		}
-	}
-	st.phFwdStage = func(ci, sw int, sk *sink) {
-		c := st.n.copies[ci]
-		for _, l := range st.fwdFeed[sw] {
-			c.pumpRequest(&c.fsrv[st.phStage][l], st.phCycle, st.phStage, l, sk)
-		}
-	}
-	st.phFwdLast = func(ci, sw int, sk *sink) {
-		// Last stage into the MNIs: output line l is MM l, so switch sw
-		// owns lines (and MMs) sw·k+j outright.
-		last := stages - 1
-		c := st.n.copies[ci]
-		for j := 0; j < k; j++ {
-			l := sw*k + j
-			c.pumpRequest(&c.fsrv[last][l], st.phCycle, last, l, sk)
-		}
-	}
-	st.phDeferred = func(ci, sw int, sk *sink) {
-		st.n.copies[ci].flushDeferredSwitch(sw, st.phCycle, sk)
-	}
-	st.phRevMNI = func(ci, sw int, sk *sink) {
-		// MNI links: MM m is wired to last-stage switch m/k.
-		c := st.n.copies[ci]
-		for j := 0; j < k; j++ {
-			mm := sw*k + j
-			c.pumpReply(&c.mmSrv[mm], st.phCycle, stages, mm, sk)
-		}
-	}
-	st.phRevStage = func(ci, sw int, sk *sink) {
-		c := st.n.copies[ci]
-		for _, l := range st.revFeed[sw] {
-			c.pumpReply(&c.rsrv[st.phStage][l], st.phCycle, st.phStage, l, sk)
-		}
-	}
-	st.phRevPE = func(ci, sw int, sk *sink) {
-		// Stage 0 into the PE buffers: unshuffle is a permutation, so
-		// the k lines of switch sw deliver to k distinct PEs.
-		c := st.n.copies[ci]
-		for j := 0; j < k; j++ {
-			l := sw*k + j
-			c.pumpReply(&c.rsrv[0][l], st.phCycle, 0, l, sk)
-		}
-	}
-	st.phaseBody = func(lo, hi, w int) {
-		sk := sink{stats: &st.wstats[w]}
-		if st.nprof != nil {
-			sk.prof = st.nprof[w]
-		}
-		for u := lo; u < hi; u++ {
-			if st.phaseProbed {
-				sk.probe = &st.swEvents[u]
-			}
-			if st.phaseTraced {
-				sk.trace = &st.swTrace[u]
-			}
-			st.phaseRun(u/st.group, u%st.group, &sk)
-		}
-	}
-}
+// Step is Network.Step.
+func (st *Stepper) Step(cycle int64) { st.n.Step(cycle) }
 
-// feederTable computes, per destination switch, the sorted input lines
-// wired into it: line l feeds switch perm(l)/k, so the feeders of sw
-// are inv(sw·k+j) for each port j. Ascending order matches the order
-// the plain serial step visits lines, keeping the per-switch operation
-// sequence — and thus combining and queueing behavior — identical.
-func feederTable(t topology, inv func(int) int) [][]int {
-	feed := make([][]int, t.group)
-	for sw := 0; sw < t.group; sw++ {
-		lines := make([]int, t.k)
-		for j := 0; j < t.k; j++ {
-			lines[j] = inv(sw*t.k + j)
-		}
-		sort.Ints(lines)
-		feed[sw] = lines
-	}
-	return feed
-}
-
-// Parallel reports whether a real worker pool is attached (observability
-// is buffered and must be flushed).
-func (st *Stepper) Parallel() bool { return st.par }
-
-// SetProfShards gives each engine worker its own guest-profiler combine
-// shard (len must be eng.Workers(); nil detaches). Only meaningful with
-// a parallel engine — the serial path uses Network.SetProfiler.
-func (st *Stepper) SetProfShards(shards []NetProfiler) { st.nprof = shards }
-
-// Engine exposes the engine driving this stepper, for callers that
-// shard their own phases (machine.Step, trace.Run).
-func (st *Stepper) Engine() engine.Engine { return st.eng }
-
-// phase runs one network movement phase over all (copy, switch) units.
-// run must only touch state owned by its unit.
-func (st *Stepper) phase(run func(ci, sw int, sk *sink)) {
-	n := st.n
-	if !st.par {
-		st.serialSink = sink{stats: &n.stats, probe: n.probe, trace: n.trace, prof: n.prof}
-		for u := 0; u < st.units; u++ {
-			run(u/st.group, u%st.group, &st.serialSink)
-		}
-		return
-	}
-	st.phaseProbed = n.probe != nil
-	st.phaseTraced = n.trace != nil
-	st.phaseRun = run
-	st.eng.Run(st.units, st.phaseBody)
-	st.phaseRun = nil
-	if st.phaseProbed {
-		for u := range st.swEvents {
-			st.swEvents[u].DrainTo(n.probe)
-		}
-	}
-	if st.phaseTraced {
-		for u := range st.swTrace {
-			st.swTrace[u].DrainTo(n.trace)
-		}
-	}
-}
-
-// Step advances every copy one network cycle. It is behaviorally
-// identical to Network.Step — same queue and combining evolution — and
-// under any engine produces the same state and statistics.
-func (st *Stepper) Step(cycle int64) {
-	stages := st.n.cfg.Stages
-	st.phCycle = cycle
-
-	// Forward path, upstream-first like copyNet.stepForward.
-	st.phase(st.phFwdPNI)
-	for s := 0; s < stages-1; s++ {
-		st.phStage = s
-		st.phase(st.phFwdStage)
-	}
-	st.phase(st.phFwdLast)
-
-	// Reverse path, mirroring copyNet.stepReverse.
-	st.phase(st.phDeferred)
-	st.phase(st.phRevMNI)
-	for s := stages - 1; s >= 1; s-- {
-		st.phStage = s
-		st.phase(st.phRevStage)
-	}
-	st.phase(st.phRevPE)
-
-	if st.par {
-		for w := range st.wstats {
-			st.n.stats.addCounts(&st.wstats[w])
-			st.wstats[w].resetCounts()
-		}
-	}
-}
-
-// Inject is Network.Inject routed through the stepper's sinks; safe to
-// call from the PE-tick phase worker that owns pe.
+// Inject is Network.Inject.
 func (st *Stepper) Inject(pe int, r msg.Request, cycle int64) bool {
-	if !st.par {
-		return st.n.Inject(pe, r, cycle)
-	}
-	var pr, tr obs.Probe
-	if st.n.probe != nil {
-		pr = &st.peEvents[pe]
-	}
-	if st.n.trace != nil {
-		tr = &st.peTrace[pe]
-	}
-	if st.n.injectInto(pe, r, cycle, pr, tr) {
-		st.peInjected[pe]++
-		return true
-	}
-	return false
+	return st.n.Inject(pe, r, cycle)
 }
 
-// Collect drains PE pe's replies; safe to call from the collect-phase
-// worker that owns pe. Under a parallel engine the latency
-// observations are buffered and replayed by FlushCollect.
-func (st *Stepper) Collect(pe int, cycle int64) []msg.Reply {
-	if !st.par {
-		return st.n.Collect(pe, cycle)
-	}
-	var pr, tr obs.Probe
-	if st.n.probe != nil {
-		pr = &st.peEvents[pe]
-	}
-	if st.n.trace != nil {
-		tr = &st.peTrace[pe]
-	}
-	return st.n.collectInto(pe, cycle, st.collectFns[pe], pr, tr)
-}
+// Collect is Network.Collect.
+func (st *Stepper) Collect(pe int, cycle int64) []msg.Reply { return st.n.Collect(pe, cycle) }
 
-// MMDequeue is Network.MMDequeue routed through the stepper's sinks;
-// safe to call from the MM-phase worker that owns mm.
-func (st *Stepper) MMDequeue(mm int) (msg.Request, bool) {
-	if !st.par {
-		return st.n.MMDequeue(mm)
-	}
-	for _, c := range st.n.copies {
-		if r, ok := c.mmIn[mm].pop(); ok {
-			st.mmDelivered[mm]++
-			return r, true
-		}
-	}
-	return msg.Request{}, false
-}
+// MMDequeue is Network.MMDequeue.
+func (st *Stepper) MMDequeue(mm int) (msg.Request, bool) { return st.n.MMDequeue(mm) }
 
-// PEProbe returns the probe PE pe must emit through while driven by
-// this stepper: the real probe when serial, pe's event buffer when
-// parallel (drained in PE order by the flushes).
-func (st *Stepper) PEProbe(pe int) obs.Probe {
-	if !st.par || st.n.probe == nil {
-		return st.n.probe
-	}
-	return &st.peEvents[pe]
-}
-
-// MMProbe is PEProbe for memory module mm.
-func (st *Stepper) MMProbe(mm int) obs.Probe {
-	if !st.par || st.n.probe == nil {
-		return st.n.probe
-	}
-	return &st.mmEvents[mm]
-}
-
-// MMTrace returns the trace stream memory module mm must emit through
-// while driven by this stepper: the tracer itself when serial, mm's
-// trace buffer when parallel (drained in MM order by FlushMM).
-func (st *Stepper) MMTrace(mm int) obs.Probe {
-	if !st.par || st.n.trace == nil {
-		return st.n.trace
-	}
-	return &st.mmTrace[mm]
-}
-
-// FlushCollect merges the collect phase's buffers: round-trip
-// latencies replayed in PE order (exactly the serial observation
-// sequence — the Welford mean is order-sensitive), reply counts, and
-// the PEs' buffered events.
-func (st *Stepper) FlushCollect() {
-	if !st.par {
-		return
-	}
-	s := &st.n.stats
-	for pe := range st.rtBuf {
-		for _, lat := range st.rtBuf[pe] {
-			s.RoundTrip.Observe(float64(lat))
-			if s.RoundTripHist != nil {
-				s.RoundTripHist.Observe(lat)
-			}
-		}
-		st.rtBuf[pe] = st.rtBuf[pe][:0]
-		s.RepliesDelivered.Add(st.peDelivered[pe])
-		st.peDelivered[pe] = 0
-	}
-	st.DrainPEEvents()
-}
-
-// FlushInject merges the tick phase's buffers: per-PE injection counts
-// and the PEs' buffered events.
-func (st *Stepper) FlushInject() {
-	if !st.par {
-		return
-	}
-	for pe := range st.peInjected {
-		st.n.stats.Injected.Add(st.peInjected[pe])
-		st.peInjected[pe] = 0
-	}
-	st.DrainPEEvents()
-}
-
-// DrainPEEvents replays the PEs' buffered events in PE order. The
-// flushes call it; phases that buffer events without touching network
-// counters (IdealMemory ticks) call it directly.
-func (st *Stepper) DrainPEEvents() {
-	if !st.par {
-		return
-	}
-	if st.n.probe != nil {
-		for pe := range st.peEvents {
-			st.peEvents[pe].DrainTo(st.n.probe)
-		}
-	}
-	if st.n.trace != nil {
-		for pe := range st.peTrace {
-			st.peTrace[pe].DrainTo(st.n.trace)
-		}
-	}
-}
-
-// FlushMM merges the MM phase's buffers: delivered-to-MM counts and
-// the modules' buffered events, in MM order.
-func (st *Stepper) FlushMM() {
-	if !st.par {
-		return
-	}
-	for mm := range st.mmDelivered {
-		st.n.stats.DeliveredToMM.Add(st.mmDelivered[mm])
-		st.mmDelivered[mm] = 0
-	}
-	if st.n.probe != nil {
-		for mm := range st.mmEvents {
-			st.mmEvents[mm].DrainTo(st.n.probe)
-		}
-	}
-	if st.n.trace != nil {
-		for mm := range st.mmTrace {
-			st.mmTrace[mm].DrainTo(st.n.trace)
-		}
-	}
-}
+// FlushInject, FlushMM and FlushCollect do nothing: Inject, MMDequeue
+// and Collect record their statistics and events as they run. They
+// remain so that cycle loops that call them between phases compile.
+func (st *Stepper) FlushInject()  {}
+func (st *Stepper) FlushMM()      {}
+func (st *Stepper) FlushCollect() {}

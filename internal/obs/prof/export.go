@@ -306,20 +306,18 @@ func (p *Profiler) mergeAddrs() []AddrRow {
 			orphan(msg.Addr{MM: mm, Word: w}).Served += p.mms[mm].served[w]
 		}
 	}
-	for _, sh := range p.nets {
-		addrs := make([]msg.Addr, 0, len(sh.combines))
-		for a := range sh.combines {
-			addrs = append(addrs, a)
+	addrs := make([]msg.Addr, 0, len(p.combines))
+	for a := range p.combines {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool {
+		if addrs[i].MM != addrs[j].MM {
+			return addrs[i].MM < addrs[j].MM
 		}
-		sort.Slice(addrs, func(i, j int) bool {
-			if addrs[i].MM != addrs[j].MM {
-				return addrs[i].MM < addrs[j].MM
-			}
-			return addrs[i].Word < addrs[j].Word
-		})
-		for _, a := range addrs {
-			orphan(a).Combines += sh.combines[a]
-		}
+		return addrs[i].Word < addrs[j].Word
+	})
+	for _, a := range addrs {
+		orphan(a).Combines += p.combines[a]
 	}
 	out := make([]AddrRow, 0, len(rows))
 	for _, r := range rows {

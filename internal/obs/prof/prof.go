@@ -119,26 +119,15 @@ type mmShard struct {
 	served map[int]int64
 }
 
-// NetShard receives combine events from one engine worker (or from the
-// serial network). Shards are merged order-free — combining counts are
-// plain sums — so per-worker attribution cannot perturb determinism.
-type NetShard struct {
-	combines map[msg.Addr]int64
-}
-
-// ProfCombine records one combine of two requests to addr
-// (network.NetProfiler).
-func (s *NetShard) ProfCombine(addr msg.Addr) { s.combines[addr]++ }
-
-// Profiler implements pe.Profiler, memory.ServeProfiler and (via
-// NetShard) network.NetProfiler.
+// Profiler implements pe.Profiler, memory.ServeProfiler and
+// network.NetProfiler.
 type Profiler struct {
-	cfg     Config
-	enabled bool
-	pes     []peShard
-	mms     []mmShard
-	nets    []*NetShard
-	paths   []CriticalPath
+	cfg      Config
+	enabled  bool
+	pes      []peShard
+	mms      []mmShard
+	combines map[msg.Addr]int64 // network combines per hashed address
+	paths    []CriticalPath
 
 	// live is the pre-rendered /prof export, swapped in whole; like
 	// live.Server.cur it is atomic-only state with no guarding mutex,
@@ -152,7 +141,8 @@ func New(cfg Config) *Profiler {
 	if cfg.PEs < 1 {
 		cfg.PEs = 1
 	}
-	p := &Profiler{cfg: cfg, enabled: true, pes: make([]peShard, cfg.PEs)}
+	p := &Profiler{cfg: cfg, enabled: true, pes: make([]peShard, cfg.PEs),
+		combines: make(map[msg.Addr]int64)}
 	for i := range p.pes {
 		s := &p.pes[i]
 		s.prog = p.progFor(i)
@@ -196,17 +186,9 @@ func (p *Profiler) SetMMs(n int) {
 	}
 }
 
-// NetShards returns n combine shards, one per engine worker, creating
-// them as needed. Shard 0 doubles as the serial network's sink.
-func (p *Profiler) NetShards(n int) []*NetShard {
-	for len(p.nets) < n {
-		p.nets = append(p.nets, &NetShard{combines: make(map[msg.Addr]int64)})
-	}
-	return p.nets[:n]
-}
-
-// NetShard returns combine shard i.
-func (p *Profiler) NetShard(i int) *NetShard { return p.NetShards(i + 1)[i] }
+// ProfCombine records one combine of two requests to addr
+// (network.NetProfiler).
+func (p *Profiler) ProfCombine(addr msg.Addr) { p.combines[addr]++ }
 
 // AddCriticalPaths attaches extracted critical paths (see
 // CriticalPaths) so they ride along in the JSONL export.
@@ -256,7 +238,6 @@ func (s *peShard) childNode(pc int) int32 {
 	}
 	id := int32(len(s.nodes))
 	s.nodes = append(s.nodes, stackNode{parent: s.curNode, callpc: int32(pc)})
-	//ultravet:ok sharecheck s is the per-PE shard; the tick phase shards by PE
 	s.nodeIdx[key] = id
 	return id
 }
@@ -305,7 +286,6 @@ func (p *Profiler) ProfIssue(pe, pc int, op msg.Op, linear int64, hashed msg.Add
 	if a == nil {
 		//ultravet:ok hotalloc first touch of a shared word allocates its stat record once
 		a = &addrStat{}
-		//ultravet:ok sharecheck s is the per-PE shard owned by the worker issuing for PE pe
 		s.addrs[linear] = a
 		s.hashed[linear] = hashed
 	}
@@ -327,7 +307,6 @@ func (p *Profiler) ProfDeliver(pe, pc int, op msg.Op, linear int64, value int64,
 		a = &addrStat{}
 		s.addrs[linear] = a
 	}
-	//ultravet:ok sharecheck a points into the per-PE shard's addrs map; the deliver phase shards by PE
 	a.waits += wait
 	if op != msg.Load && op != msg.Store {
 		h := s.locks[linear]

@@ -170,7 +170,6 @@ func (t *Tracer) Emit(ev obs.Event) {
 		}
 		//ultravet:ok hotalloc sampled-request path, off the untraced steady state
 		s.Hops = append(s.Hops, Hop{Kind: HopInject, Cycle: ev.Cycle, Stage: -1, Copy: ev.Copy, MM: -1})
-		//ultravet:ok sharecheck Emit runs only on the coordinator; shards emit into per-unit buffers (network.Stepper)
 		t.active[ev.ID] = s
 	case obs.KindStageArrive:
 		t.hop(ev.ID, Hop{Kind: HopEnqueue, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Q: int(ev.Value)})
@@ -181,7 +180,6 @@ func (t *Tracer) Emit(ev obs.Event) {
 		// ev.Value carries the parent's PE for mid-flight adoption.
 		child := t.spanOrAdopt(ev.ID, ev.PE, ev.Op.String(), ev.Addr, ev.Cycle)
 		parent := t.spanOrAdopt(ev.ID2, int(ev.Value), "", ev.Addr, ev.Cycle)
-		//ultravet:ok sharecheck Emit runs only on the coordinator; shards emit into per-unit buffers (network.Stepper)
 		child.Parent = ev.ID2
 		child.waitStart = ev.Cycle
 		child.Hops = append(child.Hops, Hop{Kind: HopCombine, Cycle: ev.Cycle, Stage: ev.Stage, Copy: ev.Copy, MM: -1, Peer: ev.ID2})

@@ -134,8 +134,7 @@ func (g *GoCore) Tick(env *Env) TickResult {
 			if a.n <= 0 {
 				// The guest goroutine is parked on <-a.done and only this
 				// PE's Tick sends: the channel is the tick-synchronized
-				// handshake, not cross-shard communication.
-				//ultravet:ok sharecheck a.done handshake wakes this PE's own parked guest goroutine
+				// handshake.
 				a.done <- 0
 				g.cur = nil
 				continue
@@ -153,7 +152,6 @@ func (g *GoCore) Tick(env *Env) TickResult {
 				if env.Issue(a.op, a.addr, a.operand, tag) {
 					g.takeTag()
 					a.issued = true
-					//ultravet:ok sharecheck g.waiting belongs to this PE's core; the tick phase shards by PE
 					g.waiting[tag] = a
 					return TickResult{Executed: true}
 				}
@@ -227,9 +225,6 @@ func (g *GoCore) Complete(tag int, value int64) {
 	if a, ok := g.waiting[tag]; ok {
 		delete(g.waiting, tag)
 		g.freeTags = append(g.freeTags, tag)
-		// a is this core's own in-flight action record; the deliver
-		// phase shards by PE, so no other worker can touch it.
-		//ultravet:ok sharecheck the action record belongs to this PE's core
 		a.completed = true
 		a.value = value
 		return

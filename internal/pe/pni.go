@@ -101,7 +101,6 @@ func (p *PNI) complete(rep msg.Reply) (pendingReq, bool) {
 	if !found {
 		return pendingReq{}, false
 	}
-	//ultravet:ok sharecheck p.pending belongs to this PE's interface; the deliver phase shards by PE
 	delete(p.pending, rep.ID)
 	delete(p.byAddr, pr.addr)
 	return pr, true

@@ -18,7 +18,7 @@ import (
 )
 
 // Config is a machine configuration as a first-class object: everything
-// a run needs — network shape, PE population, timing, cache, engine and
+// a run needs — network shape, PE population, timing, cache and
 // the guest program — in one JSON-serializable value. It is the single
 // config format shared by the ultraserve config store, `ultrasim
 // -config` and the programmatic Build path, so a config dry-run,
@@ -71,12 +71,6 @@ type Config struct {
 	LocalWords int          `json:"local_words,omitempty"`
 	Cache      *CacheConfig `json:"cache,omitempty"`
 
-	// Engine selects the execution engine ("serial" or "parallel",
-	// default serial); Workers the parallel pool size (0 = GOMAXPROCS).
-	// Outputs are byte-identical either way.
-	Engine  string `json:"engine,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-
 	// Limit is the network-cycle budget for a run (default 100M; the
 	// service may clamp it to its per-session quota). SampleEvery is
 	// the metrics sampling period in network cycles (default 64).
@@ -118,9 +112,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.LocalWords == 0 {
 		c.LocalWords = 4096
-	}
-	if c.Engine == "" {
-		c.Engine = "serial"
 	}
 	if c.Limit == 0 {
 		c.Limit = 100_000_000
@@ -281,19 +272,6 @@ var configRules = []struct {
 		}
 		return ""
 	}},
-	{"engine", func(c *Config) string {
-		switch c.Engine {
-		case "serial", "parallel":
-			return ""
-		}
-		return fmt.Sprintf("unknown engine %q (want serial or parallel)", c.Engine)
-	}},
-	{"workers", func(c *Config) string {
-		if c.Workers < 0 {
-			return fmt.Sprintf("workers = %d, need >= 0", c.Workers)
-		}
-		return ""
-	}},
 	{"limit", func(c *Config) string {
 		if c.Limit < 1 {
 			return fmt.Sprintf("limit = %d network cycles, need >= 1", c.Limit)
@@ -363,7 +341,7 @@ func (c Config) LoadOptions() machine.LoadOptions {
 // flag-built simulator configuration into the shared config object, so
 // a command line can be captured, stored and replayed through the
 // service (the ultrasim flags → config round trip).
-func FromMachine(mc machine.Config, opts machine.LoadOptions, engineName string, workers int, limit int64, program string) Config {
+func FromMachine(mc machine.Config, opts machine.LoadOptions, limit int64, program string) Config {
 	c := Config{
 		K: mc.Net.K, Stages: mc.Net.Stages, Copies: mc.Net.Copies,
 		PEs:         mc.PEs,
@@ -374,7 +352,7 @@ func FromMachine(mc machine.Config, opts machine.LoadOptions, engineName string,
 		MMLatency:          mc.MMLatency, PECycle: mc.PECycle,
 		MaxOutstanding: mc.MaxOutstanding, IdealMemory: mc.IdealMemory,
 		LocalWords: opts.LocalWords, Lint: opts.Lint,
-		Engine: engineName, Workers: workers, Limit: limit,
+		Limit:   limit,
 		Program: program,
 	}
 	if opts.Cache != nil {
@@ -384,30 +362,27 @@ func FromMachine(mc machine.Config, opts machine.LoadOptions, engineName string,
 }
 
 // Build validates the config and assembles the full run: the machine,
-// its per-PE cores and the execution engine (which the caller owns and
-// must Close). It is the single construction path shared by ultraserve
-// sessions and `ultrasim -config`.
-func (c Config) Build() (*machine.Machine, []*isa.Core, engine.Engine, error) {
+// its per-PE cores and the engine it steps on. The engine is always
+// engine.Serial, which holds nothing; its Close is a no-op kept for
+// callers that release it after the run. Build is the single
+// construction path shared by ultraserve sessions and
+// `ultrasim -config`.
+func (c Config) Build() (*machine.Machine, []*isa.Core, engine.Serial, error) {
 	if err := c.Validate(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, engine.Serial{}, err
 	}
 	d := c.WithDefaults()
 	prog, err := isa.Assemble(d.Program)
 	if err != nil {
 		// Validate assembles too, so this is unreachable; kept for belt
 		// and braces against rule drift.
-		return nil, nil, nil, err
+		return nil, nil, engine.Serial{}, err
 	}
 	m, cores, err := machine.Load(d.MachineConfig(), prog, d.LoadOptions())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, engine.Serial{}, err
 	}
-	eng, err := engine.New(d.Engine, d.Workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	m.SetEngine(eng)
-	return m, cores, eng, nil
+	return m, cores, engine.Serial{}, nil
 }
 
 // LoadConfigFile reads and validates a Config from a JSON file; unknown

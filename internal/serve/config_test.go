@@ -58,7 +58,6 @@ func TestValidateTable(t *testing.T) {
 		{"pes beyond ports", func(c *Config) { c.PEs = 17 }, []string{"pes"}},
 		{"tiny queue", func(c *Config) { c.QueueCapacity = 2 }, []string{"queue_capacity"}},
 		{"tiny pni queue", func(c *Config) { c.PNIQueueCapacity = 1 }, []string{"pni_queue_capacity"}},
-		{"bad engine", func(c *Config) { c.Engine = "quantum" }, []string{"engine"}},
 		{"bad cache", func(c *Config) { c.Cache = &CacheConfig{Sets: 3, Ways: 1, BlockWords: 4} }, []string{"cache"}},
 		{"empty program", func(c *Config) { c.Program = "  \n" }, []string{"program"}},
 		{"unassemblable program", func(c *Config) { c.Program = "bogus r1, r2" }, []string{"program"}},
@@ -90,7 +89,7 @@ func TestValidateTable(t *testing.T) {
 func TestWithDefaultsMatchesUltrasimFlags(t *testing.T) {
 	d := Config{K: 2, Stages: 4, Program: "halt"}.WithDefaults()
 	if d.PEs != 16 || d.Copies != 1 || d.MMLatency != 2 || d.PECycle != 2 ||
-		d.MaxOutstanding != 12 || d.LocalWords != 4096 || d.Engine != "serial" ||
+		d.MaxOutstanding != 12 || d.LocalWords != 4096 ||
 		d.Limit != 100_000_000 || d.SampleEvery != 64 {
 		t.Errorf("defaults drifted from ultrasim's flag defaults: %+v", d)
 	}
@@ -157,7 +156,7 @@ func TestConfigMachineRoundTrip(t *testing.T) {
 	// `ultrasim -config`.
 	orig := validConfig().WithDefaults()
 	mc, opts := orig.MachineConfig(), orig.LoadOptions()
-	back := FromMachine(mc, opts, orig.Engine, orig.Workers, orig.Limit, orig.Program).WithDefaults()
+	back := FromMachine(mc, opts, orig.Limit, orig.Program).WithDefaults()
 	if back.MachineConfig() != mc {
 		t.Errorf("machine config round trip drifted:\n  orig %+v\n  back %+v", mc, back.MachineConfig())
 	}

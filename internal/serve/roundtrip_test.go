@@ -43,7 +43,7 @@ func TestFlagsConfigFileRunEquivalence(t *testing.T) {
 	}
 
 	// flags → Config → JSON file → LoadConfigFile → Build → run.
-	lifted := FromMachine(flagCfg, flagOpts, "serial", 0, 1_000_000, program)
+	lifted := FromMachine(flagCfg, flagOpts, 1_000_000, program)
 	b, err := json.MarshalIndent(lifted, "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/machine"
 	"ultracomputer/internal/obs"
 	"ultracomputer/internal/obs/live"
@@ -69,7 +68,6 @@ type Session struct {
 	execMu sync.Mutex
 	// Machine state.
 	machine  *machine.Machine // guarded by execMu
-	eng      engine.Engine    // guarded by execMu
 	feed     *live.Feed       // guarded by execMu
 	builtSeq int64            // guarded by execMu; store.CommitSeq the machine was built from
 	prevRep  machine.Report   // guarded by execMu
@@ -301,8 +299,7 @@ func (s *Session) StepCycles(n int64) (ran int64, err error) {
 	defer s.execMu.Unlock()
 	// Re-check now that execution is ours: a drain may have won the
 	// race since the state check above, closing the machine for good —
-	// rebuilding it here would run cycles on a deleted session and leak
-	// its engine.
+	// rebuilding it here would run cycles on a deleted session.
 	if err := s.checkDrained(); err != nil {
 		return 0, err
 	}
@@ -366,7 +363,7 @@ func (s *Session) ReportJSON() ([]byte, error) {
 
 // drainSession shuts the session down: interrupts any slice, waits for
 // it, finishes the feed (so /events followers terminate) and releases
-// the engine. Terminal.
+// the machine. Terminal.
 func (s *Session) drainSession() {
 	s.mu.Lock()
 	s.interrupt.Store(true)
@@ -462,8 +459,7 @@ func (s *Session) finishIfOverLocked() bool {
 // the per-session probe ring, sampler, conformance monitor and feed.
 func (s *Session) ensureMachineLocked() error {
 	// Never (re)build for a drained session: drain closed the machine
-	// for good, and a rebuild here would leak the engine (nothing will
-	// close it again).
+	// for good, and a rebuild would bring it back.
 	if err := s.checkDrained(); err != nil {
 		return err
 	}
@@ -477,7 +473,7 @@ func (s *Session) ensureMachineLocked() error {
 		return ErrNoRunning
 	}
 	d := cfg.WithDefaults()
-	m, _, eng, err := d.Build()
+	m, _, _, err := d.Build()
 	if err != nil {
 		return err
 	}
@@ -506,7 +502,7 @@ func (s *Session) ensureMachineLocked() error {
 		},
 	}
 	feed.Attach(sampler)
-	s.machine, s.eng, s.feed = m, eng, feed
+	s.machine, s.feed = m, feed
 	s.builtSeq = seq
 	s.effLimit = d.Limit
 	if s.limits.MaxCycles > 0 && s.effLimit > s.limits.MaxCycles {
@@ -517,10 +513,7 @@ func (s *Session) ensureMachineLocked() error {
 }
 
 func (s *Session) closeMachineLocked() {
-	if s.eng != nil {
-		s.eng.Close()
-	}
-	s.machine, s.eng, s.feed = nil, nil, nil
+	s.machine, s.feed = nil, nil
 	s.builtSeq = 0
 	s.info.Store(&infoMirror{})
 }

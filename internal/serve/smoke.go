@@ -115,11 +115,10 @@ func Smoke(out io.Writer) error {
 
 	// The reference: the same config run standalone, in process — the
 	// machine ultrasim would build from these parameters.
-	m, _, eng, err := cfg.Build()
+	m, _, _, err := cfg.Build()
 	if err != nil {
 		return fmt.Errorf("standalone build: %w", err)
 	}
-	defer eng.Close()
 	m.Run(cfg.WithDefaults().Limit)
 	want, err := m.Report().JSON()
 	if err != nil {

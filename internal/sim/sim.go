@@ -8,11 +8,7 @@
 // table and figure in EXPERIMENTS.md is exactly reproducible.
 package sim
 
-import (
-	"fmt"
-
-	"ultracomputer/internal/engine"
-)
+import "fmt"
 
 // Ticker is implemented by every simulated hardware component.
 //
@@ -30,17 +26,10 @@ type Ticker interface {
 	Commit(cycle int64)
 }
 
-// Clock drives a set of Tickers through two-phase cycles, optionally
-// sharding each phase across an execution engine.
+// Clock drives a set of Tickers through two-phase cycles.
 type Clock struct {
 	now     int64
 	tickers []Ticker
-	eng     engine.Engine
-
-	// Phase bodies hoisted so Step allocates nothing: built once in
-	// SetEngine, they read the cycle from the receiver.
-	computeFn func(lo, hi, w int)
-	commitFn  func(lo, hi, w int)
 }
 
 // NewClock returns a clock at cycle zero with no registered components.
@@ -54,43 +43,15 @@ func (c *Clock) Now() int64 { return c.now }
 // of that order.
 func (c *Clock) Register(ts ...Ticker) { c.tickers = append(c.tickers, ts...) }
 
-// SetEngine selects the execution engine for Step (nil means inline
-// serial execution). Because the two-phase contract makes results
-// independent of ticking order, any engine produces identical state;
-// the caller owns eng and must Close it after the run.
-func (c *Clock) SetEngine(e engine.Engine) {
-	c.eng = e
-	if c.computeFn == nil {
-		c.computeFn = func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				c.tickers[i].Compute(c.now)
-			}
-		}
-		c.commitFn = func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				c.tickers[i].Commit(c.now)
-			}
-		}
-	}
-}
-
 // Step advances the simulation by one cycle: every component's Compute,
-// a barrier, then every Commit. Under a parallel engine each phase is
-// sharded over the registered components with the barrier between
-// phases supplied by the engine's Run.
+// then every Commit.
 func (c *Clock) Step() {
-	if c.eng == nil || c.eng.Workers() == 0 {
-		for _, t := range c.tickers {
-			t.Compute(c.now)
-		}
-		for _, t := range c.tickers {
-			t.Commit(c.now)
-		}
-		c.now++
-		return
+	for _, t := range c.tickers {
+		t.Compute(c.now)
 	}
-	c.eng.Run(len(c.tickers), c.computeFn)
-	c.eng.Run(len(c.tickers), c.commitFn)
+	for _, t := range c.tickers {
+		t.Commit(c.now)
+	}
 	c.now++
 }
 

@@ -10,7 +10,6 @@ package trace
 import (
 	"fmt"
 
-	"ultracomputer/internal/engine"
 	"ultracomputer/internal/memory"
 	"ultracomputer/internal/msg"
 	"ultracomputer/internal/network"
@@ -117,23 +116,12 @@ func (r Result) String() string {
 }
 
 // Run drives the network for warmup+measure cycles and reports statistics
-// gathered over the measurement window.
+// gathered over the measurement window. Each cycle generates requests PE
+// by PE, steps the network, lets the modules serve module by module and
+// collects replies PE by PE, all on the calling goroutine, so same-seed
+// runs are byte-identical.
 func Run(cfg network.Config, w Workload, warmup, measure int64) Result {
-	return RunEngine(cfg, w, warmup, measure, nil)
-}
-
-// RunEngine is Run executed on an explicit engine (nil means serial).
-// Every per-cycle phase — request generation, network movement, module
-// service, reply collection — is sharded through eng with the same
-// deterministic merge discipline as machine.Step: per-unit scratch,
-// replayed in unit order at phase boundaries, so same-seed runs are
-// byte-identical under every engine and worker count. The caller owns
-// eng and must Close it afterward.
-func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine.Engine) Result {
 	w = w.withDefaults()
-	if eng == nil {
-		eng = engine.Serial{}
-	}
 	net := network.New(cfg)
 	n := net.Ports()
 	var hash memory.Hasher
@@ -151,37 +139,11 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 		net.SetTracer(w.Tracer)
 		bank.SetTracer(w.Tracer)
 	}
-	if w.Profiler != nil && w.Profiler.Enabled() {
-		// Per-MM serve shards are owned by the module phase's workers and
-		// per-PE issue shards by the generator's, so the same profiler
-		// value is safe under every engine.
+	profiling := w.Profiler != nil && w.Profiler.Enabled()
+	if profiling {
 		w.Profiler.SetMMs(len(bank.Modules))
 		bank.SetProfiler(w.Profiler)
-	}
-	st := network.NewStepper(net, eng)
-	if w.Profiler != nil && w.Profiler.Enabled() {
-		if st.Parallel() {
-			shards := w.Profiler.NetShards(eng.Workers())
-			np := make([]network.NetProfiler, len(shards))
-			for i, sh := range shards {
-				np[i] = sh
-			}
-			st.SetProfShards(np)
-		} else {
-			net.SetProfiler(w.Profiler.NetShard(0))
-		}
-	}
-	if st.Parallel() {
-		if w.Probe != nil {
-			for mm, mod := range bank.Modules {
-				mod.SetProbe(st.MMProbe(mm))
-			}
-		}
-		if w.Tracer != nil {
-			for mm, mod := range bank.Modules {
-				mod.SetTracer(st.MMTrace(mm))
-			}
-		}
+		net.SetProfiler(w.Profiler)
 	}
 	rng := sim.NewRand(w.Seed)
 	peRng := make([]*sim.Rand, n)
@@ -196,21 +158,14 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 	res.QueueLen = sim.NewHistogram(64)
 	servedBefore := make([]int64, n)
 
-	// Per-unit scratch: each phase writes only its own unit's slots,
-	// merged in unit order afterward. Request IDs are pe<<32|seq so
-	// every PE mints its own without a shared counter, and the issue
-	// timestamps live in per-PE maps: written by the generator that
-	// owns the PE, read (only) during the module phase, deleted by the
-	// collector that owns the PE — the phases are barrier-separated.
+	// Request IDs are pe<<32|seq, unique among in-flight requests;
+	// issueCycle timestamps the ones injected in the measurement window.
 	seq := make([]uint64, n)
-	issueCycle := make([]map[uint64]int64, n)
-	for pe := range issueCycle {
-		issueCycle[pe] = make(map[uint64]int64)
+	issueCycle := make(map[uint64]int64)
+	ports := make([]memory.Port, len(bank.Modules))
+	for mm := range ports {
+		ports[mm] = replyPort{net, mm}
 	}
-	offered := make([]int64, n)
-	injected := make([]int64, n)
-	rtBuf := make([][]float64, n)                 // round-trips, replayed PE-major
-	owBuf := make([][]float64, len(bank.Modules)) // one-ways, replayed MM-major
 
 	total := warmup + measure
 	combinesBefore := int64(0)
@@ -225,67 +180,60 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 
 		// Generation: each PE offers a request with probability Rate
 		// (modulated by the on/off process when Burstiness is set).
-		eng.Run(n, func(lo, hi, _ int) {
-			for pe := lo; pe < hi; pe++ {
-				r := peRng[pe]
-				rate := w.Rate
-				if w.Burstiness > 0 {
-					if r.Bernoulli(1 / float64(w.Burstiness)) {
-						burstOn[pe] = !burstOn[pe]
-					}
-					if burstOn[pe] {
-						rate = 2 * w.Rate
-					} else {
-						rate = 0
-					}
+		for pe := 0; pe < n; pe++ {
+			r := peRng[pe]
+			rate := w.Rate
+			if w.Burstiness > 0 {
+				if r.Bernoulli(1 / float64(w.Burstiness)) {
+					burstOn[pe] = !burstOn[pe]
 				}
-				if !r.Bernoulli(rate) {
-					continue
-				}
-				if measuring {
-					offered[pe]++
-				}
-				var linear int64
-				if w.HotFraction > 0 && r.Bernoulli(w.HotFraction) {
-					linear = w.HotWord
+				if burstOn[pe] {
+					rate = 2 * w.Rate
 				} else {
-					linear = int64(r.Intn(int(w.Words)))
-				}
-				op := msg.FetchAdd
-				switch u := r.Float64(); {
-				case u < w.LoadFrac:
-					op = msg.Load
-				case u < w.LoadFrac+w.StoreFrac:
-					op = msg.Store
-				}
-				seq[pe]++
-				req := msg.Request{
-					ID: uint64(pe)<<32 | seq[pe], PE: pe, Op: op,
-					Addr:    hash.Map(linear),
-					Operand: 1,
-					Issued:  cycle,
-				}
-				if w.Tracer != nil {
-					// ContextFor is a pure hash of the ID — identical
-					// sampling under every engine and worker count.
-					req.TC = w.Tracer.ContextFor(req.ID)
-				}
-				if st.Inject(pe, req, cycle) {
-					if w.Profiler != nil && w.Profiler.Enabled() {
-						// Per-PE profiler shard, owned by this worker.
-						w.Profiler.ProfIssue(pe, 0, op, linear, req.Addr)
-					}
-					if measuring {
-						injected[pe]++
-						//ultravet:ok sharecheck issueCycle[pe] belongs to the worker owning PE pe
-						issueCycle[pe][req.ID] = cycle
-					}
+					rate = 0
 				}
 			}
-		})
-		st.FlushInject()
+			if !r.Bernoulli(rate) {
+				continue
+			}
+			if measuring {
+				res.Offered++
+			}
+			var linear int64
+			if w.HotFraction > 0 && r.Bernoulli(w.HotFraction) {
+				linear = w.HotWord
+			} else {
+				linear = int64(r.Intn(int(w.Words)))
+			}
+			op := msg.FetchAdd
+			switch u := r.Float64(); {
+			case u < w.LoadFrac:
+				op = msg.Load
+			case u < w.LoadFrac+w.StoreFrac:
+				op = msg.Store
+			}
+			seq[pe]++
+			req := msg.Request{
+				ID: uint64(pe)<<32 | seq[pe], PE: pe, Op: op,
+				Addr:    hash.Map(linear),
+				Operand: 1,
+				Issued:  cycle,
+			}
+			if w.Tracer != nil {
+				req.TC = w.Tracer.ContextFor(req.ID)
+			}
+			if net.Inject(pe, req, cycle) {
+				if profiling {
+					w.Profiler.ProfIssue(pe, 0, op, linear, req.Addr)
+				}
+				if measuring {
+					res.Injected++
+					issueCycle[req.ID] = cycle
+				}
+			}
+		}
 
-		st.Step(cycle)
+		net.Step(cycle)
 		if measuring && cycle%8 == 0 {
 			net.SampleQueues(res.QueueLen)
 		}
@@ -298,53 +246,30 @@ func RunEngine(cfg network.Config, w Workload, warmup, measure int64, eng engine
 		// Memory side: let the modules finish in-progress work, then
 		// hand each idle module its next arrival (timestamped here for
 		// the one-way transit measurement).
-		eng.Run(len(bank.Modules), func(lo, hi, _ int) {
-			for mm := lo; mm < hi; mm++ {
-				mod := bank.Modules[mm]
-				mod.Step(cycle, replyPort{net, mm})
-				if mod.Idle() {
-					if req, ok := st.MMDequeue(mm); ok {
-						if t0, tracked := issueCycle[req.PE][req.ID]; tracked {
-							owBuf[mm] = append(owBuf[mm], float64(cycle-t0))
-						}
-						mod.Accept(req, cycle)
-					}
+		for mm, mod := range bank.Modules {
+			mod.Step(cycle, ports[mm])
+			if !mod.Idle() {
+				continue
+			}
+			if req, ok := net.MMDequeue(mm); ok {
+				if t0, tracked := issueCycle[req.ID]; tracked {
+					res.OneWay.Observe(float64(cycle - t0))
 				}
+				mod.Accept(req, cycle)
 			}
-		})
-		for mm := range owBuf {
-			for _, v := range owBuf[mm] {
-				res.OneWay.Observe(v)
-			}
-			owBuf[mm] = owBuf[mm][:0]
 		}
-		st.FlushMM()
 
 		// PE side: collect replies.
-		eng.Run(n, func(lo, hi, _ int) {
-			for pe := lo; pe < hi; pe++ {
-				for _, rep := range st.Collect(pe, cycle) {
-					if t0, tracked := issueCycle[rep.PE][rep.ID]; tracked {
-						rtBuf[pe] = append(rtBuf[pe], float64(cycle-t0))
-						//ultravet:ok sharecheck issueCycle[pe] belongs to the worker owning PE pe
-						delete(issueCycle[rep.PE], rep.ID)
-					}
+		for pe := 0; pe < n; pe++ {
+			for _, rep := range net.Collect(pe, cycle) {
+				if t0, tracked := issueCycle[rep.ID]; tracked {
+					res.RoundTrip.Observe(float64(cycle - t0))
+					delete(issueCycle, rep.ID)
 				}
 			}
-		})
-		for pe := range rtBuf {
-			for _, v := range rtBuf[pe] {
-				res.RoundTrip.Observe(v)
-			}
-			rtBuf[pe] = rtBuf[pe][:0]
 		}
-		st.FlushCollect()
 	}
 
-	for pe := 0; pe < n; pe++ {
-		res.Offered += offered[pe]
-		res.Injected += injected[pe]
-	}
 	for mm, mod := range bank.Modules {
 		res.PerModuleServed[mm] = mod.Served.Value() - servedBefore[mm]
 		res.Served += res.PerModuleServed[mm]
