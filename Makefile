@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci build vet lint verify lockcheck-mutants test race bench bench-guard equivalence trace-smoke serve-smoke prof clean
+.PHONY: ci build vet lint verify lockcheck-mutants test test-procs race bench bench-guard equivalence trace-smoke serve-smoke prof clean
 
-ci: vet lint verify lockcheck-mutants build race test equivalence bench-guard serve-smoke prof
+ci: vet lint verify lockcheck-mutants build race test test-procs equivalence bench-guard serve-smoke prof
 
 build:
 	$(GO) build ./...
@@ -60,25 +60,34 @@ race:
 test:
 	$(GO) test ./...
 
+# Tier-1 must pass on every core count, not just the one CI happens to
+# have: the whole suite at GOMAXPROCS 1, 2 and 4, then the packages
+# whose tests run real goroutines (the ultraserve scheduler and
+# sessions, the coordination primitives on the host paracomputer)
+# twenty times at 2, where scheduling-order assumptions show up.
+test-procs:
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 ./... || exit 1; done
+	GOMAXPROCS=2 $(GO) test -count=20 ./internal/serve ./internal/coord
+
 # Simulator performance benchmark: the Figure 7 candidate switch shapes
 # under fixed seeded loads, request-tracing overhead rows (tracer off /
 # attached-at-rate-0 / sampled-1%), guest-profiler overhead rows
 # (bare / attached-but-disabled / enabled, on both the synthetic driver
-# and a real 8-PE machine run), plus the serial-vs-parallel engine
-# scaling matrix on a 256-port machine, written as JSON for
-# commit-over-commit comparison (speedups are only meaningful on
-# multi-core hosts; the file records host_cpus).
+# and a real 8-PE machine run), ultraserve session scaling and one
+# 256-port row, written as JSON for commit-over-commit comparison (the
+# file records host_cpus).
 bench:
 	$(GO) run ./cmd/netperf -bench BENCH_PR9.json
 
-# Engine equivalence: the serial and parallel engines must produce
-# byte-identical traces, metrics, reports and final state. Run under
-# the race detector (catches unsynchronized shard writes) and again
-# pinned to a single P (proves the worker barrier cannot deadlock
-# without real parallelism).
+# Output determinism: every artifact of the machine and synthetic-traffic
+# fixtures (Chrome trace, metrics, report, spans, flight recorder, final
+# state, guest profiles) must match the committed sha256 digests, and
+# engines that split phases must not change a byte. Run under the race
+# detector and again pinned to a single P, so the bytes cannot depend
+# on the host's scheduling.
 equivalence:
-	$(GO) test -race -count=1 -run 'EngineEquivalence|RunEngineEquivalence' ./internal/machine/ ./internal/trace/
-	GOMAXPROCS=1 $(GO) test -count=1 -run 'EngineEquivalence|RunEngineEquivalence' ./internal/machine/ ./internal/trace/
+	$(GO) test -race -count=1 -run 'GoldenDigests|EngineEquivalence' ./internal/machine/ ./internal/trace/
+	GOMAXPROCS=1 $(GO) test -count=1 -run 'GoldenDigests|EngineEquivalence' ./internal/machine/ ./internal/trace/
 
 # Guard the observability contract: a disabled (nil) probe must add zero
 # allocations to the hot paths, an enabled ring recorder must not

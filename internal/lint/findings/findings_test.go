@@ -10,7 +10,7 @@ import (
 // insertion orders, without IDs.
 func scrambled() ([]Finding, []Finding) {
 	a := []Finding{
-		{Analyzer: "sharecheck", File: "internal/network/network.go", Line: 40, Col: 2, Message: "write to shared state", Chain: "a → b"},
+		{Analyzer: "stagecheck", File: "internal/network/network.go", Line: 40, Col: 2, Message: "write to shared state", Chain: "a → b"},
 		{Analyzer: "hotalloc", File: "internal/pe/pe.go", Line: 10, Col: 6, Message: "allocation in hot loop"},
 		{Analyzer: "hotalloc", File: "internal/pe/pe.go", Line: 90, Col: 6, Message: "allocation in hot loop"},
 		{Analyzer: "guest", File: "prog.s", Message: "racy store"},
@@ -39,7 +39,7 @@ func TestAssignIDsDeterministic(t *testing.T) {
 	}
 
 	// Canonical order: analyzer, then file, then line.
-	wantOrder := []string{"guest", "hotalloc", "hotalloc", "sharecheck"}
+	wantOrder := []string{"guest", "hotalloc", "hotalloc", "stagecheck"}
 	for i, f := range a {
 		if f.Analyzer != wantOrder[i] {
 			t.Fatalf("position %d: analyzer %s, want %s (order %v)", i, f.Analyzer, wantOrder[i], a)

@@ -53,8 +53,7 @@ type Module struct {
 
 // ServeProfiler receives completed memory operations for the guest
 // profiler's contention heatmap (internal/obs/prof satisfies it). The
-// MM phase shards by module, so the profiler shards its counters by mm
-// and needs no locking.
+// profiler keeps its counters per module.
 type ServeProfiler interface {
 	ProfServe(mm, word int, op msg.Op)
 }

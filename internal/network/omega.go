@@ -133,12 +133,10 @@ type sink struct {
 func feederOrder(t topology, inv func(int) int) []int {
 	order := make([]int, 0, t.n)
 	for sw := 0; sw < t.group; sw++ {
-		lines := make([]int, t.k)
 		for j := 0; j < t.k; j++ {
-			lines[j] = inv(sw*t.k + j)
+			order = append(order, inv(sw*t.k+j))
 		}
-		sort.Ints(lines)
-		order = append(order, lines...)
+		sort.Ints(order[sw*t.k:])
 	}
 	return order
 }

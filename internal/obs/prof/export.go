@@ -124,7 +124,7 @@ func sampleKey(state obs.ProfState, pc int32, stack []int32) string {
 // still awaiting a spin verdict are counted under their provisional
 // states — so it can run mid-simulation (live publishing) and again at
 // the end. Every shard is visited in unit order and every output slice
-// is sorted, so the result is independent of engine parallelism.
+// is sorted, so the result is independent of map iteration order.
 func (p *Profiler) Merged() *Merged {
 	m := &Merged{File: p.cfg.File, prog: p.progFor(0), Paths: p.paths}
 	if m.File == "" {

@@ -13,7 +13,7 @@ import (
 // format (github.com/google/pprof) using only the stdlib. The emitted
 // bytes are deterministic: samples, locations and functions are written
 // in canonical sorted order and the gzip header carries no timestamp,
-// so serial and parallel runs produce byte-identical profiles.
+// so same-seed runs produce byte-identical profiles.
 //
 // Wire schema subset (field numbers from profile.proto):
 //

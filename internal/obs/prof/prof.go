@@ -21,11 +21,10 @@
 // hot-spot model — and per-lock wait-time histograms keyed by the F&A
 // cell address.
 //
-// Determinism contract: all hooks are called from engine phases that
-// shard by unit (PE ticks and delivers by PE, MM serves by module,
-// network combines by per-worker shard), every shard is merged in unit
-// order, and every exported collection is sorted — so profiles are
-// byte-identical between the serial and parallel engines.
+// Determinism contract: hooks are called in the simulator's fixed
+// phase order, per-PE and per-module state is merged in unit order, and
+// every exported collection is sorted — so same-seed profiles are
+// byte-identical.
 package prof
 
 import (
@@ -97,7 +96,7 @@ type addrStat struct {
 }
 
 // peShard is one PE's private profiler state; hooks touch only the
-// issuing PE's shard, so the tick/deliver phases need no locking.
+// issuing PE's shard.
 type peShard struct {
 	prog    *isa.Program
 	cur     runEntry // open run (count==0: none)
@@ -113,8 +112,7 @@ type peShard struct {
 	locks   map[int64]*sim.Histogram
 }
 
-// mmShard counts serves per word at one memory module; the MM phase
-// shards by module, so each shard has a single writer.
+// mmShard counts serves per word at one memory module.
 type mmShard struct {
 	served map[int]int64
 }
@@ -339,8 +337,8 @@ func (p *Profiler) ProfServe(mm, word int, op msg.Op) {
 func (p *Profiler) EnableLive() { p.liveOn = true }
 
 // Publish rebuilds the live profile (no-op unless EnableLive was
-// called). The machine invokes it on the sampling path, between engine
-// phases, so shard reads are safe.
+// called). The machine invokes it on the sampling path, between
+// cycles.
 func (p *Profiler) Publish() {
 	if !p.liveOn {
 		return

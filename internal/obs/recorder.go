@@ -8,9 +8,8 @@ import "sync"
 // never allocates.
 //
 // Recorder is safe for concurrent use: the live-telemetry server tails
-// the ring from HTTP handler goroutines while the simulation emits, and
-// under the parallel execution engine Emit may be reached from a merge
-// running concurrently with those readers. A plain mutex keeps every
+// the ring from HTTP handler goroutines while the simulation emits. A
+// plain mutex keeps every
 // accessor coherent; it is uncontended on the hot path (the simulation
 // is the only writer).
 type Recorder struct {

@@ -9,12 +9,10 @@
 // (a child span links to the parent that absorbed it; decombining on the
 // return path closes the tree).
 //
-// Sampling is a pure seeded hash of the request ID, so the decision is
-// reproducible from any worker without shared state, and serial vs.
-// parallel runs of the same seed trace exactly the same requests. Event
-// delivery rides the engine's determinism contract (per-unit buffers
-// drained in unit order — see network.Stepper), so span dumps are
-// byte-identical across engines and worker counts.
+// Sampling is a pure seeded hash of the request ID, so the decision
+// needs no shared state and runs of the same seed trace exactly the
+// same requests. Events arrive in the simulator's fixed phase order, so
+// same-seed span dumps are byte-identical.
 //
 // The Tracer doubles as a flight recorder: a bounded ring of the last
 // completed spans plus a reservoir of slow outliers, dumped when the
@@ -75,9 +73,8 @@ func (c Config) withDefaults() Config {
 // flight recorder. It implements obs.Probe for the machine's trace
 // stream and the sampling decision for the PNIs.
 //
-// All events of one run arrive on the coordinator goroutine (serial
-// emission, or deterministic buffer drains under a parallel engine);
-// the mutex exists for concurrent HTTP exports, not for emission.
+// All events of one run arrive on the simulating goroutine; the mutex
+// exists for concurrent HTTP exports, not for emission.
 //
 //lockcheck:guards mu: active, ring, head, n, slow, slowSeen, rng, completed, combineLinks, dropped, latN, latMean
 type Tracer struct {
@@ -135,8 +132,8 @@ func splitmix64(x uint64) uint64 {
 
 // ContextFor decides at issue time whether request id is traced,
 // returning the context it must carry. The decision is a pure hash of
-// (id, seed): no state, so any worker may call it, and equal-seed runs
-// sample identical requests regardless of engine or timing.
+// (id, seed): no state, so equal-seed runs sample identical requests
+// regardless of timing.
 func (t *Tracer) ContextFor(id uint64) msg.TraceCtx {
 	if t.all {
 		return msg.TraceCtx{ID: id}
@@ -160,9 +157,7 @@ func (t *Tracer) Emit(ev obs.Event) {
 	case obs.KindInject:
 		// Allocation and bookkeeping below run only for sampled requests
 		// (hop sites emit only on a non-zero TraceCtx), off the untraced
-		// steady state the zero-alloc contract pins; and Emit runs only on
-		// the coordinator goroutine — parallel shards emit into per-unit
-		// buffers drained in unit order (network.Stepper).
+		// steady state the zero-alloc contract pins.
 		//ultravet:ok hotalloc sampled-request path, off the untraced steady state
 		s := &Span{
 			ID: ev.ID, PE: ev.PE, Op: ev.Op.String(),

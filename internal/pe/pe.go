@@ -101,8 +101,8 @@ type probeSettable interface {
 // Profiler is the guest-profiler sink (internal/obs/prof satisfies it
 // implicitly). Hooks follow the probe contract: one nil check when off,
 // and callees must not retain references past the call. All three are
-// invoked from the PE tick/deliver phases, which shard by PE, so the
-// profiler may keep per-PE state without locking.
+// invoked from the PE tick/deliver phases on the simulating goroutine,
+// so the profiler may keep per-PE state without locking.
 type Profiler interface {
 	// ProfCycle attributes one elapsed PE cycle to the guest pc that was
 	// current when the cycle began, classified coarsely; the profiler

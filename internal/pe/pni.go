@@ -31,8 +31,8 @@ type PNI struct {
 }
 
 // TraceSampler stamps sampled requests with a trace context at issue.
-// The decision must be a pure function of the request ID so serial and
-// parallel engines sample identically (internal/obs/reqtrace.Tracer).
+// The decision must be a pure function of the request ID so same-seed
+// runs sample identically (internal/obs/reqtrace.Tracer).
 type TraceSampler interface {
 	ContextFor(id uint64) msg.TraceCtx
 }

@@ -256,18 +256,28 @@ func (s *Session) StartRun() error {
 	return nil
 }
 
-// Pause asks the in-flight slice (if any) to yield and stops scheduling
-// further slices. Takes effect within one machine cycle.
+// Pause stops scheduling further slices and asks the in-flight slice
+// (if any) to yield, which it does within one machine cycle. Pause
+// returns only once that slice has ended, so the machine has stopped
+// stepping when it returns.
 func (s *Session) Pause() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch s.state {
 	case StateRunning, StatePaused:
-		s.state = StatePaused
-		s.interrupt.Store(true)
-		return nil
+	default:
+		state := s.state
+		s.mu.Unlock()
+		return fmt.Errorf("%w: cannot pause from %q", ErrConflict, state)
 	}
-	return fmt.Errorf("%w: cannot pause from %q", ErrConflict, s.state)
+	s.state = StatePaused
+	s.interrupt.Store(true)
+	s.mu.Unlock()
+	// A slice holds execMu while it steps and takes mu inside it, so
+	// wait on execMu only after releasing mu. Slices that start later
+	// see StatePaused and return without stepping.
+	s.execMu.Lock()
+	s.execMu.Unlock()
+	return nil
 }
 
 // StepCycles synchronously advances the machine by up to n cycles
@@ -370,11 +380,27 @@ func (s *Session) drainSession() {
 	s.state = StateDrained
 	s.mu.Unlock()
 	s.execMu.Lock()
-	if s.feed != nil {
-		s.feed.Finish()
-	}
+	s.publishFinalLocked()
 	s.closeMachineLocked()
 	s.execMu.Unlock()
+}
+
+// publishFinalLocked (execMu held) leaves a final, Done telemetry State
+// behind a drained session. A run that already finished keeps its final
+// State. Otherwise the machine, if built, is sampled one last time and
+// the feed finished, as finishIfOverLocked does; a session drained
+// before any machine existed gets an empty Done State. Either way
+// /snapshot.json answers after drain, even when no slice ever ran.
+func (s *Session) publishFinalLocked() {
+	if st := s.lsrv.Current(); st != nil && st.Done {
+		return
+	}
+	if s.machine == nil {
+		s.lsrv.Publish(&live.State{Done: true})
+		return
+	}
+	s.feed.Publish(s.sampleLocked())
+	s.feed.Finish()
 }
 
 func (s *Session) checkDrained() error {
