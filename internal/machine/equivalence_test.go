@@ -147,54 +147,20 @@ func (e chunkEngine) Run(n int, fn func(lo, hi, worker int)) {
 }
 
 // TestEngineEquivalence checks the engine seam: the same machine run on
-// the default serial engine and on engines that split every phase into
-// chunks (including sizes that divide the unit counts unevenly)
-// produces byte-identical trace files, metrics files, reports, spans
-// and final architectural state. TestGoldenDigests pins the default
-// run's bytes themselves.
+// engines that split every phase into chunks (including sizes that
+// divide the unit counts unevenly) produces exactly the golden bytes of
+// the default serial engine — trace, metrics, report, spans, flight
+// recorder and final architectural state.
 func TestEngineEquivalence(t *testing.T) {
 	for _, fx := range goldenFixtures(t) {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
-			want := runArtifact(t, fx.mk, nil)
-			if len(want.trace) == 0 || len(want.metrics) == 0 {
-				t.Fatal("serial run produced empty artifacts — probe or sampler not wired")
-			}
+			want := goldenDigests[fx.name]
 			for _, size := range []int{1, 3, 8} {
-				got := runArtifact(t, fx.mk, chunkEngine{size})
-				diffArtifact(t, size, want, got)
+				if got := runArtifact(t, fx.mk, chunkEngine{size}).digests(); got != want {
+					t.Errorf("chunk=%d: artifact digests %q, want %q", size, got, want)
+				}
 			}
 		})
 	}
-}
-
-func diffArtifact(t *testing.T, chunk int, want, got artifact) {
-	t.Helper()
-	cmp := func(kind string, w, g []byte) {
-		if !bytes.Equal(w, g) {
-			i := 0
-			for i < len(w) && i < len(g) && w[i] == g[i] {
-				i++
-			}
-			lo := i - 80
-			if lo < 0 {
-				lo = 0
-			}
-			hiW, hiG := i+80, i+80
-			if hiW > len(w) {
-				hiW = len(w)
-			}
-			if hiG > len(g) {
-				hiG = len(g)
-			}
-			t.Errorf("chunk=%d: %s differs at byte %d (serial %d bytes, chunked %d bytes)\n serial  ...%q\n chunked ...%q",
-				chunk, kind, i, len(w), len(g), w[lo:hiW], g[lo:hiG])
-		}
-	}
-	cmp("trace", want.trace, got.trace)
-	cmp("metrics", want.metrics, got.metrics)
-	cmp("spans", want.spans, got.spans)
-	cmp("flight", want.flight, got.flight)
-	cmp("report", want.report, got.report)
-	cmp("final state", want.state, got.state)
 }

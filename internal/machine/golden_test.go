@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ultracomputer/internal/network"
+	"ultracomputer/internal/obs/prof"
 )
 
 // goldenFixture is one machine configuration whose complete observable
@@ -112,8 +113,8 @@ var profGoldenDigests = [2]string{
 	"4814ab8ff88b60fd15884df81be06e574f069ae42cb83d29f815e42b11e8ab20",
 }
 
-func TestProfGoldenDigests(t *testing.T) {
-	_, p, _ := profQueueRun(t, nil)
+func profDigests(t *testing.T, p *prof.Profiler) [2]string {
+	t.Helper()
 	pb, err := p.PprofBytes()
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +123,12 @@ func TestProfGoldenDigests(t *testing.T) {
 	if err := p.WriteJSONL(&js); err != nil {
 		t.Fatal(err)
 	}
-	got := [2]string{digest(pb), digest(js.Bytes())}
+	return [2]string{digest(pb), digest(js.Bytes())}
+}
+
+func TestProfGoldenDigests(t *testing.T) {
+	_, p, _ := profQueueRun(t, nil)
+	got := profDigests(t, p)
 	for i, kind := range []string{"pprof", "jsonl"} {
 		if got[i] != profGoldenDigests[i] {
 			t.Errorf("%s digest %s, want %s", kind, got[i], profGoldenDigests[i])

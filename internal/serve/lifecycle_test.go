@@ -98,21 +98,14 @@ func TestPauseStopsCycles(t *testing.T) {
 	}
 }
 
-// TestEngineFieldsRejected: the config no longer has engine/workers
-// fields (machines step serially), so the strict stage decoder turns
-// them away with a 400 rather than silently ignoring them.
+// TestEngineFieldsRejected: the config has no engine/workers fields
+// (machines step serially), so the strict stage decoder answers 400.
 func TestEngineFieldsRejected(t *testing.T) {
 	_, base := testAPI(t, Limits{})
 	var info SessionInfo
 	call(t, http.MethodPost, base+"/sessions", nil, http.StatusCreated, &info)
-	sURL := base + "/sessions/" + info.ID
-	for _, field := range []string{"engine", "workers"} {
-		body := map[string]any{"k": 2, "stages": 4, "program": "halt", field: "parallel"}
-		if field == "workers" {
-			body[field] = 4
-		}
-		call(t, http.MethodPut, sURL+"/config/candidate", body, http.StatusBadRequest, nil)
+	for field, v := range map[string]any{"engine": "parallel", "workers": 4} {
+		body := map[string]any{"k": 2, "stages": 4, "program": "halt", field: v}
+		call(t, http.MethodPut, base+"/sessions/"+info.ID+"/config/candidate", body, http.StatusBadRequest, nil)
 	}
-	call(t, http.MethodPut, sURL+"/config/candidate",
-		map[string]any{"k": 2, "stages": 4, "program": "halt"}, http.StatusOK, nil)
 }
