@@ -93,13 +93,13 @@ type inflightReq struct {
 	issued int64 // inject cycle, for round-trip latency
 }
 
-// SetProbe attaches an event probe to the network;
-// nil detaches it (the default — a detached probe costs one nil check).
+// SetProbe attaches an event probe to the network; nil detaches it (the
+// default — a detached probe costs one nil check).
 func (n *Network) SetProbe(p obs.Probe) { n.probe = p }
 
 // SetTracer attaches the request-tracing stream (a reqtrace.Tracer) to
-// the network; nil detaches it. Hop-record sites emit
-// on it only for requests carrying a non-zero TraceCtx.
+// the network; nil detaches it. Hop-record sites emit on it only for
+// requests carrying a non-zero TraceCtx.
 func (n *Network) SetTracer(p obs.Probe) { n.trace = p }
 
 // NetProfiler receives combine events for the guest profiler's
